@@ -10,9 +10,10 @@ configuration problems.
 
 import argparse
 import csv
-import math
+import dataclasses
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from equilibrate.io import (
     REPORT_FIELDS,
     RunReport,
     read_matrix_market,
+    report_cell,
     write_matrix_market,
     write_report,
 )
@@ -41,10 +43,66 @@ from equilibrate.matrix import DiagonalScaling, from_sparse, scale
 from equilibrate.stochastic import ProbeSource, snbin, ssbin
 from equilibrate.structure import structure_report
 
-ALGORITHMS = ("snbin", "ssbin", "sk_exact", "sym_sk_exact", "jacobi", "inf_norm")
-SYMMETRIC_ONLY = frozenset({"ssbin", "sym_sk_exact", "jacobi"})
 DEFAULT_BUDGETS = (32, 64, 128)
 DEFAULT_NMV = 100
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """How ``run`` computes one algorithm's scaling, and what the cell reads.
+
+    ``scaling(m, budget, seed)`` returns a DiagonalScaling; budgets cap
+    iterations for every algorithm that reads them. ``uses_seed`` and
+    ``uses_budget`` say whether the result can change with those cell
+    parameters. ``keeps_symmetry`` means a symmetric input stays bitwise
+    symmetric after scaling (``matrix.scale`` groups the two factors so a
+    symmetric scaling mirrors exactly).
+    """
+
+    scaling: Callable
+    symmetric_only: bool = False
+    uses_seed: bool = False
+    uses_budget: bool = False
+    keeps_symmetry: bool = False
+
+
+# The entries call each algorithm through its module-global name, so code
+# that rebinds those names (profilers, tracers) sees every call.
+TABLE = {
+    "snbin": Algorithm(
+        lambda m, b, s: snbin(from_sparse(m), b, ProbeSource(s)),
+        uses_seed=True,
+        uses_budget=True,
+    ),
+    "ssbin": Algorithm(
+        lambda m, b, s: DiagonalScaling.symmetric(ssbin(from_sparse(m), b, ProbeSource(s))),
+        symmetric_only=True,
+        uses_seed=True,
+        uses_budget=True,
+        keeps_symmetry=True,
+    ),
+    "sk_exact": Algorithm(
+        lambda m, b, s: equilibrate_2norm(m, ExactOptions(max_iters=b), symmetric=False),
+        uses_budget=True,
+    ),
+    "sym_sk_exact": Algorithm(
+        lambda m, b, s: equilibrate_2norm(m, ExactOptions(max_iters=b), symmetric=True),
+        symmetric_only=True,
+        uses_budget=True,
+        keeps_symmetry=True,
+    ),
+    "jacobi": Algorithm(
+        lambda m, b, s: jacobi_scale(m)[0],
+        symmetric_only=True,
+        keeps_symmetry=True,
+    ),
+    "inf_norm": Algorithm(lambda m, b, s: inf_norm_scale(m)),
+}
+ALGORITHMS = tuple(TABLE)
+SYMMETRIC_ONLY = frozenset(name for name, alg in TABLE.items() if alg.symmetric_only)
+# What a bad matrix can raise inside a cell; np.linalg.LinAlgError is a
+# ValueError. Anything else is a bug and aborts the batch.
+CELL_ERRORS = (EquilibrateError, ValueError, FloatingPointError)
 
 
 @dataclass
@@ -141,21 +199,6 @@ def _load_input(source):
     return read_matrix_market(source)
 
 
-def _run_cell(m, algorithm, budget, seed):
-    """Compute one scaling. Budgets cap iterations for every algorithm."""
-    if algorithm == "snbin":
-        return snbin(from_sparse(m), budget, ProbeSource(seed))
-    if algorithm == "ssbin":
-        return DiagonalScaling.symmetric(ssbin(from_sparse(m), budget, ProbeSource(seed)))
-    if algorithm == "sk_exact":
-        return equilibrate_2norm(m, ExactOptions(max_iters=budget), symmetric=False)
-    if algorithm == "sym_sk_exact":
-        return equilibrate_2norm(m, ExactOptions(max_iters=budget), symmetric=True)
-    if algorithm == "jacobi":
-        return jacobi_scale(m)[0]
-    return inf_norm_scale(m)
-
-
 def _failure_rows(name, algorithms, budgets, seeds, message):
     return [
         RunReport(name, alg, seed, budget, status=f"error: {message}")
@@ -165,13 +208,37 @@ def _failure_rows(name, algorithms, budgets, seeds, message):
     ]
 
 
+def _measure_cell(row, m, alg, symmetric, cond_cap):
+    """Scale ``m`` for ``row``'s cell and fill in its outcome fields.
+
+    ``symmetric`` says whether ``m`` is. Only scalings that keep symmetry
+    skip the detection on the scaled matrix; for the others it decides
+    whether the column spread counts.
+    """
+    scaled_symmetric = True if symmetric and alg.keeps_symmetry else None
+    start = time.perf_counter()
+    try:
+        scaling = alg.scaling(m, row.nmv, row.seed)
+        row.wall_time = time.perf_counter() - start
+        scaled = scale(m, scaling)
+        row.ratio_after = ratio(scaled, symmetric=scaled_symmetric).value
+        if row.cond_before is not None:
+            row.cond_after = condition_number(scaled, cap=cond_cap)
+    except CELL_ERRORS as exc:
+        row.wall_time = time.perf_counter() - start
+        row.status = f"error: {exc}"
+
+
 def run_experiment(cfg):
     """Run every applicable (matrix, algorithm, budget, seed) cell.
 
     Symmetric-only algorithms are skipped for nonsymmetric inputs. Cell
     failures are recorded in the row's status instead of aborting the
-    batch. Rows come back sorted by (matrix, algorithm, nmv, seed), and
-    everything except wall_time is a pure function of the config.
+    batch. A cell whose algorithm ignores the seed or the budget repeats
+    the row computed first for the same (algorithm, parameters it reads),
+    wall_time included. Rows come back sorted by (matrix, algorithm, nmv,
+    seed), and everything except wall_time is a pure function of the
+    config.
     """
     reports = []
     for source in cfg.inputs:
@@ -185,41 +252,40 @@ def run_experiment(cfg):
             continue
         symmetric = m.is_symmetric()
         algorithms = [
-            a for a in cfg.algorithms if symmetric or a not in SYMMETRIC_ONLY
+            a for a in cfg.algorithms if symmetric or not TABLE[a].symmetric_only
         ]
         try:
             ratio_before = ratio(m, symmetric=symmetric).value
-        except EquilibrateError as exc:
+            cond_before = None
+            if m.nrows == m.ncols and max(m.nrows, m.ncols) <= cfg.cond_cap:
+                cond_before = condition_number(m, cap=cfg.cond_cap)
+        except CELL_ERRORS as exc:
             reports.extend(
                 _failure_rows(name, algorithms, cfg.budgets, cfg.seeds_per_run, exc)
             )
             continue
-        cond_before = None
-        if m.nrows == m.ncols and max(m.nrows, m.ncols) <= cfg.cond_cap:
-            cond_before = condition_number(m, cap=cfg.cond_cap)
+        computed = {}
         for algorithm in algorithms:
+            alg = TABLE[algorithm]
             for budget in cfg.budgets:
                 for seed in range(cfg.seeds_per_run):
-                    row = RunReport(
-                        name,
+                    key = (
                         algorithm,
-                        seed,
-                        budget,
-                        ratio_before=ratio_before,
-                        cond_before=cond_before,
+                        budget if alg.uses_budget else None,
+                        seed if alg.uses_seed else None,
                     )
-                    start = time.perf_counter()
-                    try:
-                        scaling = _run_cell(m, algorithm, budget, seed)
-                        row.wall_time = time.perf_counter() - start
-                        scaled = scale(m, scaling)
-                        row.ratio_after = ratio(scaled).value
-                        if cond_before is not None:
-                            row.cond_after = condition_number(scaled, cap=cfg.cond_cap)
-                    except EquilibrateError as exc:
-                        row.wall_time = time.perf_counter() - start
-                        row.status = f"error: {exc}"
-                    reports.append(row)
+                    if key not in computed:
+                        row = RunReport(
+                            name,
+                            algorithm,
+                            seed,
+                            budget,
+                            ratio_before=ratio_before,
+                            cond_before=cond_before,
+                        )
+                        _measure_cell(row, m, alg, symmetric, cfg.cond_cap)
+                        computed[key] = row
+                    reports.append(dataclasses.replace(computed[key], nmv=budget, seed=seed))
     reports.sort(key=lambda r: (r.matrix_name, r.algorithm, r.nmv, r.seed))
     return reports
 
@@ -272,7 +338,7 @@ def _cmd_run(args):
     reports = run_experiment(cfg)
     if cfg.out is None:
         rows = [
-            [_report_cell(getattr(r, name)) for name in REPORT_FIELDS]
+            [report_cell(getattr(r, name)) for name in REPORT_FIELDS]
             for r in reports
         ]
         _write_csv(REPORT_FIELDS, rows, None)
@@ -284,14 +350,6 @@ def _cmd_run(args):
         print(f"{failures} cells failed", file=sys.stderr)
         return 1
     return 0
-
-
-def _report_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return "inf" if math.isinf(value) else repr(value)
-    return str(value)
 
 
 def _cmd_history(args):

@@ -148,7 +148,8 @@ class RunReport:
 REPORT_FIELDS = [f.name for f in dataclasses.fields(RunReport)]
 
 
-def _cell(value):
+def report_cell(value):
+    """One report field as text: empty for None, "inf" or repr for floats."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -165,7 +166,7 @@ def write_report(reports, fmt, path):
             writer = csv.writer(fh)
             writer.writerow(REPORT_FIELDS)
             for r in reports:
-                writer.writerow([_cell(getattr(r, name)) for name in REPORT_FIELDS])
+                writer.writerow([report_cell(getattr(r, name)) for name in REPORT_FIELDS])
     elif fmt == "json":
         rows = []
         for r in reports:

@@ -170,30 +170,3 @@ def estimate_bx(a, x, nsamples, probes=0):
         y = a.apply(sx * probes.normal(a.ncols))
         acc += y * y
     return acc / nsamples
-
-
-def _snbin_reciprocal_variant(a, nmv, probes=0):
-    """Test-bench variant that blends reciprocals of the raw estimates.
-
-    Instead of averaging the squared-probe estimates and taking reciprocals
-    at the end, this update reciprocates each noisy one-sample estimate
-    before blending. Division by near-zero samples gives the update heavy
-    tails, so the iteration is markedly less stable than snbin; it is kept
-    only so tests can demonstrate that. Returns raw (left, right) vectors
-    without validation since the estimates can degenerate.
-    """
-    _require_square_op(a)
-    sched = OmegaSchedule(nmv)
-    probes = _as_probes(probes)
-    r = np.ones(a.nrows)
-    c = np.ones(a.ncols)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(1, nmv + 1):
-            omega = sched.omega(k)
-            u = probes.normal(a.ncols)
-            y = a.apply(np.sqrt(c) * u)
-            r = _blend(r, 1.0 / (y * y), omega)
-            v = probes.normal(a.nrows)
-            z = a.apply_transpose(np.sqrt(r) * v)
-            c = _blend(c, 1.0 / (z * z), omega)
-    return np.sqrt(r), np.sqrt(c)

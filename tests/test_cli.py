@@ -8,16 +8,18 @@ from equilibrate.cli import (
     ALGORITHMS,
     DEFAULT_BUDGETS,
     SYMMETRIC_ONLY,
+    TABLE,
     ExperimentConfig,
     emit_history,
     main,
     parse_config,
     run_experiment,
 )
-from equilibrate.corpus import CorpusSpec
+from equilibrate.corpus import CorpusSpec, generate, spec_name
+from equilibrate.diagnostics import condition_number, ratio
 from equilibrate.errors import ConfigError
 from equilibrate.io import REPORT_FIELDS, read_matrix_market
-from equilibrate.matrix import SparseMatrix
+from equilibrate.matrix import SparseMatrix, scale
 from equilibrate.io import write_matrix_market
 
 
@@ -219,6 +221,124 @@ def test_run_experiment_is_reproducible_except_wall_time():
             if name == "wall_time":
                 continue
             assert getattr(a, name) == getattr(b, name), name
+
+
+# ------------------------------------------------- memo of repeated cells
+
+_SYM_SPEC = CorpusSpec(family="spd", n=20, density=0.3, seed=21, scale_spread=1.5)
+_NONSYM_SPEC = CorpusSpec(family="nonsymmetric_general", n=25, density=0.2, seed=22, scale_spread=1.5)
+
+
+def _memo_config():
+    return ExperimentConfig(
+        inputs=[_SYM_SPEC, _NONSYM_SPEC],
+        algorithms=ALGORITHMS,
+        budgets=(4, 8, 16),
+        seeds_per_run=3,
+    ).validate()
+
+
+def _same_scaling(a, b):
+    return a.left.tobytes() == b.left.tobytes() and a.right.tobytes() == b.right.tobytes()
+
+
+@pytest.mark.parametrize("spec", [_SYM_SPEC, _NONSYM_SPEC], ids=["symmetric", "nonsymmetric"])
+def test_seed_free_entries_ignore_the_seed(spec):
+    m = generate(spec)
+    for name, alg in TABLE.items():
+        if alg.uses_seed or (alg.symmetric_only and not m.is_symmetric()):
+            continue
+        assert _same_scaling(alg.scaling(m, 32, 0), alg.scaling(m, 32, 5)), name
+
+
+@pytest.mark.parametrize("spec", [_SYM_SPEC, _NONSYM_SPEC], ids=["symmetric", "nonsymmetric"])
+def test_budget_free_entries_ignore_the_budget(spec):
+    m = generate(spec)
+    for name, alg in TABLE.items():
+        if alg.uses_budget or (alg.symmetric_only and not m.is_symmetric()):
+            continue
+        assert _same_scaling(alg.scaling(m, 32, 0), alg.scaling(m, 128, 0)), name
+
+
+def test_run_experiment_computes_each_distinct_cell_once(monkeypatch):
+    calls = {}
+
+    def counting(m, cap):
+        calls[m.nrows] = calls.get(m.nrows, 0) + 1
+        return condition_number(m, cap=cap)
+
+    monkeypatch.setattr("equilibrate.cli.condition_number", counting)
+    rows = run_experiment(_memo_config())
+    assert all(r.status == "ok" for r in rows)
+    # One call for cond_before plus one per distinct cell. Symmetric input:
+    # snbin and ssbin 3 budgets x 3 seeds each, sk_exact and sym_sk_exact
+    # one per budget, jacobi and inf_norm once. Nonsymmetric input: snbin
+    # 9, sk_exact 3, inf_norm 1.
+    assert calls == {20: 1 + 9 + 9 + 3 + 3 + 1 + 1, 25: 1 + 9 + 3 + 1}
+
+
+def test_run_experiment_matches_one_computation_per_cell():
+    cfg = _memo_config()
+    expected = []
+    for spec in cfg.inputs:
+        m = generate(spec)
+        before = (ratio(m).value, condition_number(m))
+        for name in cfg.algorithms:
+            alg = TABLE[name]
+            if alg.symmetric_only and not m.is_symmetric():
+                continue
+            for budget in cfg.budgets:
+                for seed in range(cfg.seeds_per_run):
+                    scaled = scale(m, alg.scaling(m, budget, seed))
+                    after = (ratio(scaled).value, condition_number(scaled))
+                    expected.append(
+                        (spec_name(spec), name, seed, budget, before[0], after[0], before[1], after[1], "ok")
+                    )
+    fields = [name for name in REPORT_FIELDS if name != "wall_time"]
+    rows = [tuple(getattr(r, name) for name in fields) for r in run_experiment(cfg)]
+    assert sorted(rows) == sorted(expected)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_main_run_records_overflowing_cells_and_finishes(tmp_path, capsys):
+    # Squared products of these entries overflow, so the stochastic
+    # scalings come out infinite and are rejected as invalid values.
+    p = tmp_path / "wide.mtx"
+    p.write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "3 3 3\n1 1 1e-160\n2 2 1e150\n3 3 1e160\n"
+    )
+    out = tmp_path / "report.csv"
+    cfg_path = _write_config(
+        tmp_path / "exp.cfg",
+        f"matrix = {p}\nalgorithms = {', '.join(ALGORITHMS)}\nbudgets = 4, 8\nseeds_per_run = 2\n",
+    )
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+    assert "cells failed" in capsys.readouterr().err
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(ALGORITHMS) * 2 * 2
+    status = {}
+    for r in rows:
+        status.setdefault(r["algorithm"], set()).add(r["status"])
+    for alg in ("snbin", "ssbin"):
+        assert status[alg] == {"error: left scaling must be strictly positive and finite"}
+    assert status["jacobi"] == status["inf_norm"] == {"ok"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_experiment_nan_entry_fails_its_rows_only(tmp_path):
+    p = tmp_path / "nan.mtx"
+    p.write_text(
+        "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n2 2 nan\n1 2 2.0\n"
+    )
+    cfg = ExperimentConfig(
+        inputs=[str(p), _NONSYM_SPEC], algorithms=("snbin", "inf_norm"), budgets=(4,), seeds_per_run=2
+    ).validate()
+    rows = run_experiment(cfg)
+    assert len(rows) == 2 * 2 * 2
+    for r in rows:
+        assert r.status.startswith("error:") == (r.matrix_name == "nan"), r
 
 
 # ----------------------------------------------------------------- main
