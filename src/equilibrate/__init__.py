@@ -6,7 +6,6 @@ stochastic ones see the matrix only through products with probe vectors,
 which is what makes them usable when the matrix is an opaque operator.
 """
 
-from equilibrate._kernels import BACKEND
 from equilibrate.corpus import CorpusSpec, generate, read_spec_file, spec_name
 from equilibrate.diagnostics import (
     CONDITION_SIZE_CAP,
@@ -67,7 +66,6 @@ from equilibrate.structure import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "CONDITION_SIZE_CAP",
     "ConfigError",
     "ConvergenceHistory",

@@ -32,10 +32,8 @@ from equilibrate.exact import (
     jacobi_scale,
 )
 from equilibrate.io import (
-    REPORT_FIELDS,
     RunReport,
     read_matrix_market,
-    report_cell,
     write_matrix_market,
     write_report,
 )
@@ -336,14 +334,8 @@ def _cmd_run(args):
         cfg.fmt = args.format
     cfg.validate()
     reports = run_experiment(cfg)
-    if cfg.out is None:
-        rows = [
-            [report_cell(getattr(r, name)) for name in REPORT_FIELDS]
-            for r in reports
-        ]
-        _write_csv(REPORT_FIELDS, rows, None)
-    else:
-        write_report(reports, cfg.fmt, cfg.out)
+    write_report(reports, cfg.fmt, cfg.out)
+    if cfg.out is not None:
         print(f"wrote {len(reports)} rows to {cfg.out}")
     failures = sum(1 for r in reports if r.status != "ok")
     if failures:

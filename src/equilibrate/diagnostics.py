@@ -81,12 +81,14 @@ def condition_number(m, cap=CONDITION_SIZE_CAP):
 
     Densifies the matrix, so inputs beyond the cap raise SizeCapExceeded.
     Returns inf when the smallest singular value is zero or negligible
-    relative to the largest.
+    relative to the largest. A nan or infinite entry raises ValueError.
     """
     if max(m.nrows, m.ncols) > cap:
         raise SizeCapExceeded(
             f"condition number needs a dense decomposition; size cap is {cap}"
         )
+    if not np.isfinite(m.data).all():
+        raise ValueError("condition number needs finite entries")
     sv = np.linalg.svd(m.to_dense(), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return math.inf

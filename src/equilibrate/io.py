@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from equilibrate.errors import MatrixMarketError
@@ -24,7 +25,8 @@ def read_matrix_market(path):
 
     Symmetric storage is mirrored (off-diagonal entries appear twice in the
     result), indices are converted to 0-based, and duplicate coordinates are
-    summed by the SparseMatrix constructor.
+    summed by the SparseMatrix constructor. A nan or infinite value is
+    rejected with its line number.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
@@ -84,6 +86,8 @@ def read_matrix_market(path):
             i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise MatrixMarketError(f"malformed entry {stripped!r}", line=entry_lineno) from None
+        if not math.isfinite(v):
+            raise MatrixMarketError(f"non-finite value {parts[2]!r}", line=entry_lineno)
         if not (1 <= i <= nrows and 1 <= j <= ncols):
             raise MatrixMarketError(f"index ({i}, {j}) out of range", line=entry_lineno)
         if symmetry == "symmetric" and j > i:
@@ -160,26 +164,35 @@ def report_cell(value):
 
 
 def write_report(reports, fmt, path):
-    """Serialize reports as CSV (header row, fixed column order) or JSON."""
-    if fmt == "csv":
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(REPORT_FIELDS)
-            for r in reports:
-                writer.writerow([report_cell(getattr(r, name)) for name in REPORT_FIELDS])
-    elif fmt == "json":
-        rows = []
-        for r in reports:
-            row = dataclasses.asdict(r)
-            for key, value in row.items():
-                if isinstance(value, float) and math.isinf(value):
-                    row[key] = "inf"
-            rows.append(row)
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-    else:
+    """Serialize reports as CSV (header row, fixed column order) or JSON.
+
+    ``path`` None writes to standard output.
+    """
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r} (use 'csv' or 'json')")
+    if path is None:
+        _dump_report(reports, fmt, sys.stdout)
+        return
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        _dump_report(reports, fmt, fh)
+
+
+def _dump_report(reports, fmt, fh):
+    if fmt == "csv":
+        writer = csv.writer(fh)
+        writer.writerow(REPORT_FIELDS)
+        for r in reports:
+            writer.writerow([report_cell(getattr(r, name)) for name in REPORT_FIELDS])
+        return
+    rows = []
+    for r in reports:
+        row = dataclasses.asdict(r)
+        for key, value in row.items():
+            if isinstance(value, float) and math.isinf(value):
+                row[key] = "inf"
+        rows.append(row)
+    json.dump(rows, fh, indent=2)
+    fh.write("\n")
 
 
 def read_report_json(path):

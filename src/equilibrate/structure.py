@@ -105,10 +105,11 @@ def has_support(m):
 def has_total_support(m):
     """True iff every nonzero lies on some positive diagonal.
 
-    Tests, per nonzero (i, j) off the initial matching, matchability of the
-    pattern with row i and column j removed; deleting the pair frees exactly
-    column match(i), so the reduced pattern is matchable iff an alternating
-    path reaches that column, which is a single O(nnz) search.
+    Given one perfect matching, a nonzero (i, j) off it lies on another
+    exactly when it closes an alternating cycle. Orienting each such nonzero
+    as row i -> row match(j), that means i and match(j) share a strongly
+    connected component (the Dulmage-Mendelsohn fine decomposition), so the
+    test is one matching plus one O(nnz) component pass.
     """
     _require_square(m)
     n = m.nrows
@@ -116,36 +117,54 @@ def has_total_support(m):
     size, match_l, match_r = _hopcroft_karp(adj, n, n)
     if size < n:
         return False
-    for i in range(n):
-        for j in adj[i]:
-            if match_l[i] == j:
-                continue
-            if not _reaches_freed_column(adj, match_r, start=match_r[j], banned=j, target=match_l[i]):
-                return False
-    return True
+    succ = [[match_r[j] for j in adj[i] if j != match_l[i]] for i in range(n)]
+    comp = _strong_components(succ)
+    return all(comp[i] == comp[k] for i in range(n) for k in succ[i])
 
 
-def _reaches_freed_column(adj, match_r, start, banned, target):
-    visited = bytearray(len(match_r))
-    visited[banned] = 1
-    path = [start]
-    iters = [iter(adj[start])]
-    while path:
-        advanced = False
-        for v in iters[-1]:
-            if visited[v]:
-                continue
-            visited[v] = 1
-            if v == target:
-                return True
-            path.append(match_r[v])
-            iters.append(iter(adj[match_r[v]]))
-            advanced = True
-            break
-        if not advanced:
-            path.pop()
-            iters.pop()
-    return False
+def _strong_components(succ):
+    """Component label per node of a directed graph (iterative Tarjan)."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    on_stack = bytearray(n)
+    stack = []
+    counter = 0
+    labels = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = 1
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = 1
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        comp[w] = labels
+                        if w == v:
+                            break
+                    labels += 1
+    return comp
 
 
 def is_irreducible(m):

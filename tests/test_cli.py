@@ -341,6 +341,24 @@ def test_run_experiment_nan_entry_fails_its_rows_only(tmp_path):
         assert r.status.startswith("error:") == (r.matrix_name == "nan"), r
 
 
+def test_run_experiment_inf_entry_fails_its_rows_only(tmp_path):
+    p = tmp_path / "inf.mtx"
+    p.write_text(
+        "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n2 2 inf\n1 2 2.0\n"
+    )
+    cfg = ExperimentConfig(
+        inputs=[str(p), _NONSYM_SPEC], algorithms=("snbin", "inf_norm"), budgets=(4,), seeds_per_run=2
+    ).validate()
+    rows = run_experiment(cfg)
+    assert len(rows) == 2 * 2 * 2
+    for r in rows:
+        if r.matrix_name == "inf":
+            assert r.status == "error: line 4: non-finite value 'inf'", r
+            assert r.ratio_before is None and r.cond_before is None
+        else:
+            assert r.status == "ok", r
+
+
 # ----------------------------------------------------------------- main
 
 
@@ -387,6 +405,24 @@ def test_main_run_json_format(tmp_path):
     assert len(rows) == 1
     assert rows[0]["algorithm"] == "inf_norm"
     assert rows[0]["status"] == "ok"
+
+
+def test_main_run_stdout_json_matches_out_file(tmp_path, capsys):
+    mtx = _sym_mtx(tmp_path)
+    out = tmp_path / "report.json"
+    cfg_path = _write_config(
+        tmp_path / "exp.cfg",
+        f"matrix = {mtx}\nalgorithms = ssbin, jacobi\nbudgets = 4\nseeds_per_run = 2\n",
+    )
+    assert main(["run", "--config", cfg_path, "--format", "json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert main(["run", "--config", cfg_path, "--format", "json", "--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    for rows in (printed, written):
+        for row in rows:
+            row.pop("wall_time")
+    assert printed == written
+    assert len(printed) == 4
 
 
 def test_main_run_failure_exit_code(tmp_path, capsys):

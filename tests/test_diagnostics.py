@@ -83,6 +83,13 @@ def test_condition_number_singular_is_inf():
     assert condition_number(m) == math.inf
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_condition_number_rejects_non_finite_entries(bad):
+    m = SparseMatrix.from_dense(np.array([[1.0, 0.0], [0.0, bad]]))
+    with pytest.raises(ValueError, match="finite"):
+        condition_number(m)
+
+
 def test_condition_number_size_cap():
     n = CONDITION_SIZE_CAP + 1
     m = SparseMatrix(n, n, [(i, i, 1.0) for i in range(n)])

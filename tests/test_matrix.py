@@ -69,9 +69,12 @@ def test_matvec_and_rmatvec_match_dense(rng, shape):
     nrows, ncols = shape
     m = random_sparse(rng, nrows, ncols)
     dense = m.to_dense()
-    for _ in range(5):
+    for trial in range(5):
         x = rng.standard_normal(ncols)
         y = rng.standard_normal(nrows)
+        if trial == 0:  # products must accept read-only inputs
+            x.setflags(write=False)
+            y.setflags(write=False)
         np.testing.assert_allclose(m.matvec(x), dense @ x, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(m.rmatvec(y), dense.T @ y, rtol=1e-13, atol=1e-13)
 
@@ -88,6 +91,9 @@ def test_matrix_with_empty_rows_multiplies_correctly():
     m = SparseMatrix(3, 3, [(0, 1, 2.0)])
     np.testing.assert_array_equal(m.matvec(np.ones(3)), [2.0, 0.0, 0.0])
     np.testing.assert_array_equal(m.rmatvec(np.ones(3)), [0.0, 2.0, 0.0])
+    empty = SparseMatrix(3, 2, [])
+    for y in (empty.matvec(np.ones(2)), empty.rmatvec(np.ones(3))):
+        assert y.dtype == np.float64 and not y.any()
 
 
 def test_transpose_and_symmetry(rng):
