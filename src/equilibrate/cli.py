@@ -13,89 +13,29 @@ import csv
 import dataclasses
 import sys
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from equilibrate.corpus import CorpusSpec, generate, parse_spec_line, read_spec_file, spec_name
 from equilibrate.diagnostics import (
     CONDITION_SIZE_CAP,
+    TABLE,
     condition_number,
     convergence_history,
     ratio,
 )
 from equilibrate.errors import ConfigError, EquilibrateError, MatrixMarketError
-from equilibrate.exact import (
-    ExactOptions,
-    equilibrate_2norm,
-    inf_norm_scale,
-    jacobi_scale,
-)
 from equilibrate.io import (
     RunReport,
     read_matrix_market,
     write_matrix_market,
     write_report,
 )
-from equilibrate.matrix import DiagonalScaling, from_sparse, scale
-from equilibrate.stochastic import ProbeSource, snbin, ssbin
+from equilibrate.matrix import scale
 from equilibrate.structure import structure_report
 
 DEFAULT_BUDGETS = (32, 64, 128)
 DEFAULT_NMV = 100
-
-
-@dataclass(frozen=True)
-class Algorithm:
-    """How ``run`` computes one algorithm's scaling, and what the cell reads.
-
-    ``scaling(m, budget, seed)`` returns a DiagonalScaling; budgets cap
-    iterations for every algorithm that reads them. ``uses_seed`` and
-    ``uses_budget`` say whether the result can change with those cell
-    parameters. ``keeps_symmetry`` means a symmetric input stays bitwise
-    symmetric after scaling (``matrix.scale`` groups the two factors so a
-    symmetric scaling mirrors exactly).
-    """
-
-    scaling: Callable
-    symmetric_only: bool = False
-    uses_seed: bool = False
-    uses_budget: bool = False
-    keeps_symmetry: bool = False
-
-
-# The entries call each algorithm through its module-global name, so code
-# that rebinds those names (profilers, tracers) sees every call.
-TABLE = {
-    "snbin": Algorithm(
-        lambda m, b, s: snbin(from_sparse(m), b, ProbeSource(s)),
-        uses_seed=True,
-        uses_budget=True,
-    ),
-    "ssbin": Algorithm(
-        lambda m, b, s: DiagonalScaling.symmetric(ssbin(from_sparse(m), b, ProbeSource(s))),
-        symmetric_only=True,
-        uses_seed=True,
-        uses_budget=True,
-        keeps_symmetry=True,
-    ),
-    "sk_exact": Algorithm(
-        lambda m, b, s: equilibrate_2norm(m, ExactOptions(max_iters=b), symmetric=False),
-        uses_budget=True,
-    ),
-    "sym_sk_exact": Algorithm(
-        lambda m, b, s: equilibrate_2norm(m, ExactOptions(max_iters=b), symmetric=True),
-        symmetric_only=True,
-        uses_budget=True,
-        keeps_symmetry=True,
-    ),
-    "jacobi": Algorithm(
-        lambda m, b, s: jacobi_scale(m)[0],
-        symmetric_only=True,
-        keeps_symmetry=True,
-    ),
-    "inf_norm": Algorithm(lambda m, b, s: inf_norm_scale(m)),
-}
 ALGORITHMS = tuple(TABLE)
 SYMMETRIC_ONLY = frozenset(name for name, alg in TABLE.items() if alg.symmetric_only)
 # What a bad matrix can raise inside a cell; np.linalg.LinAlgError is a
@@ -209,11 +149,11 @@ def _failure_rows(name, algorithms, budgets, seeds, message):
 def _measure_cell(row, m, alg, symmetric, cond_cap):
     """Scale ``m`` for ``row``'s cell and fill in its outcome fields.
 
-    ``symmetric`` says whether ``m`` is. Only scalings that keep symmetry
-    skip the detection on the scaled matrix; for the others it decides
-    whether the column spread counts.
+    ``symmetric`` says whether ``m`` is. Symmetric-only algorithms keep a
+    symmetric input symmetric, so they skip the detection on the scaled
+    matrix; for the others it decides whether the column spread counts.
     """
-    scaled_symmetric = True if symmetric and alg.keeps_symmetry else None
+    scaled_symmetric = True if symmetric and alg.symmetric_only else None
     start = time.perf_counter()
     try:
         scaling = alg.scaling(m, row.nmv, row.seed)

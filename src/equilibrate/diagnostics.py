@@ -1,41 +1,31 @@
-"""Measurements taken before and after scaling.
+"""Measurements taken before and after scaling, and the algorithm table.
 
 The headline metric is the spread of row (and column) 2-norms: a perfectly
 equilibrated matrix scores exactly 1. Condition numbers are computed densely
-and are therefore size-capped. Convergence histories replay an algorithm
-iteration by iteration and measure the spread after each sweep, which is how
-the comparison plots in the reports are produced.
+and are therefore size-capped. `TABLE` says how each named algorithm scales
+a matrix; batch runs and convergence histories both go through it, and a
+history measures the spread after each sweep, which is how the comparison
+plots in the reports are produced.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from equilibrate.errors import SizeCapExceeded, ZeroRowOrColumn
 from equilibrate.exact import (
     ExactOptions,
-    sinkhorn_knopp,
-    sym_sinkhorn_knopp,
+    equilibrate_2norm,
+    inf_norm_scale,
+    jacobi_scale,
 )
-from equilibrate.matrix import (
-    DiagonalScaling,
-    elementwise_square,
-    from_sparse,
-    scale,
-)
+from equilibrate.matrix import DiagonalScaling, from_sparse, scale
 from equilibrate.stochastic import ProbeSource, snbin, ssbin
 
 CONDITION_SIZE_CAP = 2000
-
-HISTORY_ALGORITHMS = (
-    "ssbin",
-    "ssbin_noswitch",
-    "snbin",
-    "snbin_sym",
-    "sk_exact",
-    "sym_sk_exact",
-)
 
 
 @dataclass(frozen=True)
@@ -104,73 +94,111 @@ def row_sum_variance(m):
     return float(np.mean((s - s.mean()) ** 2))
 
 
-def _sym_pair(s):
-    return np.sqrt(s.left * s.right)
+@dataclass(frozen=True)
+class Algorithm:
+    """How one named algorithm scales a matrix, and what its result reads.
+
+    ``scaling(m, budget, seed, on_iteration=None)`` returns a
+    DiagonalScaling of ``m``; budgets cap iterations for every algorithm
+    that reads them. ``on_iteration(k, scaling)``, when given, sees the
+    scaling after each sweep or iteration; one-shot algorithms call it once
+    with their result. ``symmetric_only`` algorithms take symmetric inputs
+    only and give symmetric scalings, which keep a symmetric matrix bitwise
+    symmetric (``matrix.scale`` groups the two factors so they mirror
+    exactly). ``uses_seed`` and ``uses_budget`` say whether the result can
+    change with those parameters.
+    """
+
+    scaling: Callable
+    symmetric_only: bool = False
+    uses_seed: bool = False
+    uses_budget: bool = False
+
+
+def _observe(on_iteration, convert):
+    """Observer passing each iterate through ``convert``, or None."""
+    if on_iteration is None:
+        return None
+    return lambda k, v: on_iteration(k, convert(v))
+
+
+def _once(scaling, on_iteration):
+    if on_iteration is not None:
+        on_iteration(1, scaling)
+    return scaling
+
+
+def _geometric_mean(s):
+    """Symmetric scaling sqrt(left * right) of a two-sided one."""
+    return DiagonalScaling.symmetric(np.sqrt(s.left * s.right))
+
+
+def _snbin(m, budget, seed, on_iteration=None):
+    return snbin(from_sparse(m), budget, ProbeSource(seed), on_iteration=on_iteration)
+
+
+def _snbin_sym(m, budget, seed, on_iteration=None):
+    observe = _observe(on_iteration, _geometric_mean)
+    return _geometric_mean(snbin(from_sparse(m), budget, ProbeSource(seed), on_iteration=observe))
+
+
+def _ssbin(m, budget, seed, on_iteration=None, no_switch=False):
+    observe = _observe(on_iteration, DiagonalScaling.symmetric)
+    x = ssbin(from_sparse(m), budget, ProbeSource(seed), no_switch, on_iteration=observe)
+    return DiagonalScaling.symmetric(x)
+
+
+def _sk_exact(m, budget, seed, on_iteration=None, symmetric=False):
+    opts = ExactOptions(max_iters=budget)
+    return equilibrate_2norm(m, opts, symmetric=symmetric, on_iteration=on_iteration)
+
+
+# The entries call each algorithm through its module-global name, so code
+# that rebinds those names (profilers, tracers) sees every call.
+TABLE = {
+    "snbin": Algorithm(_snbin, uses_seed=True, uses_budget=True),
+    "snbin_sym": Algorithm(_snbin_sym, symmetric_only=True, uses_seed=True, uses_budget=True),
+    "ssbin": Algorithm(_ssbin, symmetric_only=True, uses_seed=True, uses_budget=True),
+    "ssbin_noswitch": Algorithm(
+        partial(_ssbin, no_switch=True), symmetric_only=True, uses_seed=True, uses_budget=True
+    ),
+    "sk_exact": Algorithm(_sk_exact, uses_budget=True),
+    "sym_sk_exact": Algorithm(
+        partial(_sk_exact, symmetric=True), symmetric_only=True, uses_budget=True
+    ),
+    "jacobi": Algorithm(
+        lambda m, b, s, on_iteration=None: _once(jacobi_scale(m)[0], on_iteration),
+        symmetric_only=True,
+    ),
+    "inf_norm": Algorithm(
+        lambda m, b, s, on_iteration=None: _once(inf_norm_scale(m), on_iteration)
+    ),
+}
 
 
 def convergence_history(a, algorithm, nmv=100, seed=0):
     """Norm-spread trajectory of one algorithm on one matrix.
 
     Entry 0 is log10 of the unscaled spread; entry k is the spread after
-    sweep k of the algorithm. Stochastic algorithms consume a fresh probe
-    stream built from ``seed``. Exact algorithms run with their usual
-    stopping rule capped at nmv iterations, so their series may be shorter.
-    The ``snbin_sym`` and ``sym_sk_exact`` variants symmetrize two-sided
-    scalings through a geometric mean before applying them, which keeps a
-    symmetric input symmetric.
+    sweep k of the algorithm, run through its `TABLE` entry with budget
+    ``nmv``. Stochastic algorithms consume a fresh probe stream built from
+    ``seed``. Exact algorithms stop early when they converge, so their
+    series may be shorter, and one-shot algorithms give two entries. The
+    ``snbin_sym`` variant symmetrizes each two-sided scaling through a
+    geometric mean, which keeps a symmetric input symmetric.
     """
-    if algorithm not in HISTORY_ALGORITHMS:
+    alg = TABLE.get(algorithm)
+    if alg is None:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     symmetric = a.is_symmetric()
-    if algorithm in ("ssbin", "ssbin_noswitch", "snbin_sym", "sym_sk_exact") and not symmetric:
+    if alg.symmetric_only and not symmetric:
         raise ValueError(f"{algorithm} requires a symmetric matrix")
 
     series = [math.log10(ratio(a, symmetric=symmetric).value)]
 
-    def record(s, still_symmetric):
+    def record(k, s):
         scaled = scale(a, s)
-        series.append(math.log10(ratio(scaled, symmetric=still_symmetric).value))
+        series.append(math.log10(ratio(scaled, symmetric=alg.symmetric_only).value))
 
-    op = from_sparse(a)
-    if algorithm in ("ssbin", "ssbin_noswitch"):
-        ssbin(
-            op,
-            nmv,
-            ProbeSource(seed),
-            no_switch=(algorithm == "ssbin_noswitch"),
-            on_iteration=lambda k, x: record(DiagonalScaling.symmetric(x), True),
-        )
-    elif algorithm == "snbin":
-        snbin(
-            op,
-            nmv,
-            ProbeSource(seed),
-            on_iteration=lambda k, s: record(s, False),
-        )
-    elif algorithm == "snbin_sym":
-        snbin(
-            op,
-            nmv,
-            ProbeSource(seed),
-            on_iteration=lambda k, s: record(DiagonalScaling.symmetric(_sym_pair(s)), True),
-        )
-    else:
-        b = elementwise_square(a)
-        opts = ExactOptions(max_iters=nmv)
-        if algorithm == "sym_sk_exact":
-            sym_sinkhorn_knopp(
-                b,
-                opts,
-                on_iteration=lambda k, x: record(
-                    DiagonalScaling.symmetric(np.sqrt(x)), True
-                ),
-            )
-        else:
-            sinkhorn_knopp(
-                b,
-                opts,
-                on_iteration=lambda k, r, c: record(
-                    DiagonalScaling(np.sqrt(r), np.sqrt(c)), False
-                ),
-            )
+    alg.scaling(a, nmv, seed, on_iteration=record)
     return series

@@ -152,23 +152,30 @@ def sym_sinkhorn_knopp(b, opts=None, y0=None, on_iteration=None):
     return best, history
 
 
-def equilibrate_2norm(a, opts=None, symmetric=None):
+def equilibrate_2norm(a, opts=None, symmetric=None, on_iteration=None):
     """Scale a signed square matrix to unit row and column 2-norms.
 
     Runs the 1-norm iteration on the elementwise square and returns the
     square roots of its scaling, so the scaled signed matrix has unit row
     and column 2-norms. ``symmetric`` forces the dispatch; by default the
     symmetric single-vector iteration is used whenever the input is
-    symmetric.
+    symmetric. ``on_iteration(k, scaling)`` observes the square-rooted
+    scaling of each iterate.
     """
     _require_square(a)
     if symmetric is None:
         symmetric = a.is_symmetric()
     b = elementwise_square(a)
     if symmetric:
-        x, _ = sym_sinkhorn_knopp(b, opts)
+        report = None if on_iteration is None else (
+            lambda k, x: on_iteration(k, DiagonalScaling.symmetric(np.sqrt(x)))
+        )
+        x, _ = sym_sinkhorn_knopp(b, opts, on_iteration=report)
         return DiagonalScaling.symmetric(np.sqrt(x))
-    s, _ = sinkhorn_knopp(b, opts)
+    report = None if on_iteration is None else (
+        lambda k, r, c: on_iteration(k, DiagonalScaling(np.sqrt(r), np.sqrt(c)))
+    )
+    s, _ = sinkhorn_knopp(b, opts, on_iteration=report)
     return DiagonalScaling(np.sqrt(s.left), np.sqrt(s.right))
 
 

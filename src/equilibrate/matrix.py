@@ -25,10 +25,11 @@ class SparseMatrix:
     Construction accepts entries in any order; duplicate (row, col) pairs are
     summed (Matrix Market convention) and explicitly zero values are dropped.
     Stored arrays are row-major sorted with unique keys, int64 indices, and
-    float64 values, shared read-only.
+    float64 values, shared read-only. The answer of `is_symmetric` is
+    memoized, since nothing can change it.
     """
 
-    __slots__ = ("nrows", "ncols", "indptr", "indices", "data", "rows")
+    __slots__ = ("nrows", "ncols", "indptr", "indices", "data", "rows", "_symmetric")
 
     def __init__(self, nrows, ncols, entries=()):
         entries = list(entries)
@@ -88,6 +89,7 @@ class SparseMatrix:
         indptr = np.zeros(self.nrows + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         self.indptr = _freeze(indptr)
+        self._symmetric = None
 
     @property
     def nnz(self):
@@ -130,14 +132,9 @@ class SparseMatrix:
 
     def is_symmetric(self):
         """Exact symmetry of both pattern and values."""
-        if self.nrows != self.ncols:
-            return False
-        t = self.transpose()
-        return (
-            np.array_equal(self.rows, t.rows)
-            and np.array_equal(self.indices, t.indices)
-            and np.array_equal(self.data, t.data)
-        )
+        if self._symmetric is None:
+            self._symmetric = self.nrows == self.ncols and self == self.transpose()
+        return self._symmetric
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -231,15 +228,30 @@ def from_sparse(m):
     return LinearOperator(m.nrows, m.ncols, m.matvec, m.rmatvec)
 
 
-def elementwise_square(m):
-    """Entrywise square, preserving the sparsity pattern."""
-    squared = m.data * m.data
+def _with_data(m, data):
+    """Matrix with ``m``'s pattern and new nonzero values; symmetry unknown."""
     out = SparseMatrix.__new__(SparseMatrix)
     out.nrows, out.ncols = m.nrows, m.ncols
     out.indptr, out.rows, out.indices = m.indptr, m.rows, m.indices
-    out.data = _freeze(squared)
+    out.data = _freeze(data)
+    out._symmetric = None
+    return out
+
+
+def elementwise_square(m):
+    """Entrywise square, preserving the sparsity pattern.
+
+    Squaring keeps mirrored entries equal, so a symmetric input's square is
+    known symmetric; a nonsymmetric input's square may still be symmetric
+    (entries differing only in sign), so that answer stays open.
+    """
+    squared = m.data * m.data
     if not squared.all():  # squaring underflowed somewhere; re-canonicalize
-        return SparseMatrix.from_coo(m.nrows, m.ncols, m.rows, m.indices, squared)
+        out = SparseMatrix.from_coo(m.nrows, m.ncols, m.rows, m.indices, squared)
+    else:
+        out = _with_data(m, squared)
+    if m._symmetric:
+        out._symmetric = True
     return out
 
 
@@ -253,8 +265,4 @@ def scale(m, s):
     data = m.data * (s.left[m.rows] * s.right[m.indices])
     if not data.all():  # positive factors can still underflow to zero
         return SparseMatrix.from_coo(m.nrows, m.ncols, m.rows, m.indices, data)
-    out = SparseMatrix.__new__(SparseMatrix)
-    out.nrows, out.ncols = m.nrows, m.ncols
-    out.indptr, out.rows, out.indices = m.indptr, m.rows, m.indices
-    out.data = _freeze(data)
-    return out
+    return _with_data(m, data)

@@ -103,7 +103,14 @@ def has_support(m):
 
 
 def has_total_support(m):
-    """True iff every nonzero lies on some positive diagonal.
+    """True iff every nonzero lies on some positive diagonal."""
+    _require_square(m)
+    adj = _adjacency(m)
+    return _total_support(adj, _hopcroft_karp(adj, m.nrows, m.ncols))
+
+
+def _total_support(adj, matching):
+    """Total support of the pattern ``adj``, given a maximum matching of it.
 
     Given one perfect matching, a nonzero (i, j) off it lies on another
     exactly when it closes an alternating cycle. Orienting each such nonzero
@@ -111,10 +118,8 @@ def has_total_support(m):
     connected component (the Dulmage-Mendelsohn fine decomposition), so the
     test is one matching plus one O(nnz) component pass.
     """
-    _require_square(m)
-    n = m.nrows
-    adj = _adjacency(m)
-    size, match_l, match_r = _hopcroft_karp(adj, n, n)
+    n = len(adj)
+    size, match_l, match_r = matching
     if size < n:
         return False
     succ = [[match_r[j] for j in adj[i] if j != match_l[i]] for i in range(n)]
@@ -170,36 +175,21 @@ def _strong_components(succ):
 def is_irreducible(m):
     """True iff the directed graph of the pattern is strongly connected."""
     _require_square(m)
-    n = m.nrows
-    forward = _adjacency(m)
-    backward = [[] for _ in range(n)]
-    for i in range(n):
-        for j in forward[i]:
-            backward[j].append(i)
-    return _reaches_all(forward, n) and _reaches_all(backward, n)
+    return _one_component(_adjacency(m))
 
 
-def _reaches_all(adj, n):
-    seen = bytearray(n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                queue.append(v)
-    return count == n
+def _one_component(adj):
+    # Strongly connected iff every node is in Tarjan's first component, 0.
+    return not any(_strong_components(adj))
 
 
 def structure_report(m):
-    """All three predicates at once."""
+    """All three predicates at once, from one adjacency and one matching."""
     _require_square(m)
-    support = has_support(m)
+    adj = _adjacency(m)
+    matching = _hopcroft_karp(adj, m.nrows, m.ncols)
     return StructureReport(
-        has_support=support,
-        has_total_support=has_total_support(m) if support else False,
-        is_irreducible=is_irreducible(m),
+        has_support=matching[0] == m.nrows,
+        has_total_support=_total_support(adj, matching),
+        is_irreducible=_one_component(adj),
     )

@@ -142,9 +142,9 @@ def test_run_experiment_row_count_and_order(tmp_path):
         seeds_per_run=2,
     ).validate()
     rows = run_experiment(cfg)
-    # Symmetric matrix runs all six algorithms, the nonsymmetric one skips
-    # the three symmetric-only ones.
-    assert len(rows) == (6 + 3) * 2 * 2
+    # Symmetric matrix runs all eight algorithms, the nonsymmetric one skips
+    # the five symmetric-only ones.
+    assert len(rows) == (8 + 3) * 2 * 2
     keys = [(r.matrix_name, r.algorithm, r.nmv, r.seed) for r in rows]
     assert keys == sorted(keys)
     nonsym_algs = {r.algorithm for r in rows if r.matrix_name.startswith("nonsym")}
@@ -271,10 +271,10 @@ def test_run_experiment_computes_each_distinct_cell_once(monkeypatch):
     rows = run_experiment(_memo_config())
     assert all(r.status == "ok" for r in rows)
     # One call for cond_before plus one per distinct cell. Symmetric input:
-    # snbin and ssbin 3 budgets x 3 seeds each, sk_exact and sym_sk_exact
-    # one per budget, jacobi and inf_norm once. Nonsymmetric input: snbin
-    # 9, sk_exact 3, inf_norm 1.
-    assert calls == {20: 1 + 9 + 9 + 3 + 3 + 1 + 1, 25: 1 + 9 + 3 + 1}
+    # snbin, ssbin, snbin_sym and ssbin_noswitch 3 budgets x 3 seeds each,
+    # sk_exact and sym_sk_exact one per budget, jacobi and inf_norm once.
+    # Nonsymmetric input: snbin 9, sk_exact 3, inf_norm 1.
+    assert calls == {20: 1 + 9 + 9 + 9 + 9 + 3 + 3 + 1 + 1, 25: 1 + 9 + 3 + 1}
 
 
 def test_run_experiment_matches_one_computation_per_cell():
@@ -297,6 +297,26 @@ def test_run_experiment_matches_one_computation_per_cell():
     fields = [name for name in REPORT_FIELDS if name != "wall_time"]
     rows = [tuple(getattr(r, name) for name in fields) for r in run_experiment(cfg)]
     assert sorted(rows) == sorted(expected)
+
+
+def test_run_experiment_tests_each_matrix_for_symmetry_once(tmp_path, monkeypatch):
+    # The symmetry test transposes; the squared matrix sym_sk_exact iterates
+    # on inherits the input's answer instead of transposing again.
+    cfg = ExperimentConfig(
+        inputs=[_sym_mtx(tmp_path)], algorithms=("jacobi", "sym_sk_exact"), budgets=(4, 8), seeds_per_run=2
+    ).validate()
+    transposed = []
+    original = SparseMatrix.transpose
+
+    def counting(self):
+        transposed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SparseMatrix, "transpose", counting)
+    rows = run_experiment(cfg)
+    assert all(r.status == "ok" for r in rows)
+    assert len(transposed) == 1
+    assert transposed[0].data.min() < 0.0  # the signed input, not its square
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

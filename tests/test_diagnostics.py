@@ -5,7 +5,7 @@ import pytest
 
 from equilibrate.diagnostics import (
     CONDITION_SIZE_CAP,
-    HISTORY_ALGORITHMS,
+    TABLE,
     col_norms_squared,
     condition_number,
     convergence_history,
@@ -13,8 +13,10 @@ from equilibrate.diagnostics import (
     row_norms_squared,
     row_sum_variance,
 )
+from equilibrate.corpus import CorpusSpec, generate
 from equilibrate.errors import SizeCapExceeded, ZeroRowOrColumn
-from equilibrate.matrix import SparseMatrix
+from equilibrate.exact import inf_norm_scale, jacobi_scale
+from equilibrate.matrix import DiagonalScaling, SparseMatrix, scale
 
 from conftest import random_sparse
 
@@ -125,11 +127,13 @@ def test_history_lengths_and_start(rng):
     dense = rng.standard_normal((8, 8))
     sym = SparseMatrix.from_dense(dense + dense.T)
     start = math.log10(ratio(sym).value)
-    for alg in HISTORY_ALGORITHMS:
+    for alg in TABLE:
         series = convergence_history(sym, alg, nmv=12, seed=1)
         assert series[0] == pytest.approx(start)
         if alg in ("ssbin", "ssbin_noswitch", "snbin", "snbin_sym"):
             assert len(series) == 13
+        elif alg in ("jacobi", "inf_norm"):
+            assert len(series) == 2
         else:
             assert 2 <= len(series) <= 13
         assert all(np.isfinite(series))
@@ -168,3 +172,53 @@ def test_history_snbin_on_nonsymmetric(rng):
     assert len(series) == 11
     series_exact = convergence_history(m, "sk_exact", nmv=10)
     assert len(series_exact) >= 2
+
+
+def test_history_of_one_shot_algorithms_is_two_points(rng):
+    dense = rng.standard_normal((8, 8))
+    sym = SparseMatrix.from_dense(dense + dense.T + 4 * np.eye(8))
+    series = convergence_history(sym, "jacobi", nmv=12)
+    after = ratio(scale(sym, jacobi_scale(sym)[0]), symmetric=True).value
+    assert series == [math.log10(ratio(sym).value), math.log10(after)]
+    m = SparseMatrix.from_dense(rng.standard_normal((6, 6)))
+    series = convergence_history(m, "inf_norm", nmv=12)
+    after = ratio(scale(m, inf_norm_scale(m)), symmetric=False).value
+    assert series == [math.log10(ratio(m).value), math.log10(after)]
+
+
+# ------------------------------------------------------ algorithm table
+
+_TABLE_SPECS = {
+    "symmetric": CorpusSpec(family="spd", n=20, density=0.3, seed=21, scale_spread=1.5),
+    "nonsymmetric": CorpusSpec(family="nonsymmetric_general", n=25, density=0.2, seed=22, scale_spread=1.5),
+}
+
+
+def _same_scaling(a, b):
+    return a.left.tobytes() == b.left.tobytes() and a.right.tobytes() == b.right.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(_TABLE_SPECS))
+@pytest.mark.parametrize("name", list(TABLE))
+def test_table_entry_reports_its_iterations(name, kind):
+    m = generate(_TABLE_SPECS[kind])
+    alg = TABLE[name]
+    if alg.symmetric_only and not m.is_symmetric():
+        with pytest.raises(ValueError, match="requires a symmetric matrix"):
+            convergence_history(m, name, nmv=8)
+        return
+    seen = []
+    result = alg.scaling(m, 8, 3, on_iteration=lambda k, s: seen.append((k, s)))
+    assert [k for k, _ in seen] == list(range(1, len(seen) + 1))
+    # Observing a run does not change its result.
+    assert _same_scaling(result, alg.scaling(m, 8, 3))
+    if alg.uses_seed:  # stochastic: one report per sweep, the last is the result
+        assert len(seen) == 8
+        assert _same_scaling(seen[-1][1], result)
+    elif not alg.uses_budget:  # one-shot: the result, once
+        assert len(seen) == 1
+        assert _same_scaling(seen[0][1], result)
+    else:  # exact: at most one report per iteration of the budget
+        assert 1 <= len(seen) <= 8
+    if alg.symmetric_only:
+        assert all(_same_scaling(s, DiagonalScaling.symmetric(s.left)) for _, s in seen)
