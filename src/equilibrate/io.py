@@ -14,10 +14,13 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from equilibrate.errors import MatrixMarketError
 from equilibrate.matrix import SparseMatrix
 
 _BANNER = "%%MatrixMarket"
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
 def read_matrix_market(path):
@@ -25,11 +28,15 @@ def read_matrix_market(path):
 
     Symmetric storage is mirrored (off-diagonal entries appear twice in the
     result), indices are converted to 0-based, and duplicate coordinates are
-    summed by the SparseMatrix constructor. A nan or infinite value is
-    rejected with its line number.
+    summed by the SparseMatrix constructor. Entries are decimal integers and
+    decimal floats; blank lines and whole-line `%` comments are skipped. A
+    malformed entry, an index out of range, an upper-triangle entry in
+    symmetric storage, or a nan or infinite value is rejected with its line
+    number.
     """
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+        content = fh.read()
+    lines = content.splitlines()
     if not lines:
         raise MatrixMarketError("empty file", line=1)
 
@@ -50,6 +57,7 @@ def read_matrix_market(path):
         raise MatrixMarketError(
             f"unsupported symmetry {symmetry!r} (only 'general' or 'symmetric')", line=1
         )
+    symmetric = symmetry == "symmetric"
 
     lineno = 1
     size_line = None
@@ -65,42 +73,78 @@ def read_matrix_market(path):
     if len(parts) != 3:
         raise MatrixMarketError("size line must be 'nrows ncols nnz'", line=lineno)
     try:
+        if "_" in size_line:  # int() reads '1_0' as 10; Matrix Market has no separators
+            raise ValueError(size_line)
         nrows, ncols, nnz = (int(p) for p in parts)
     except ValueError:
         raise MatrixMarketError("size line must hold three integers", line=lineno) from None
     if nrows <= 0 or ncols <= 0 or nnz < 0:
         raise MatrixMarketError("size line values out of range", line=lineno)
-    if symmetry == "symmetric" and nrows != ncols:
+    if symmetric and nrows != ncols:
         raise MatrixMarketError("symmetric matrix must be square", line=lineno)
 
-    entries = []
-    seen = 0
-    for entry_lineno, text in enumerate(lines[lineno:], start=lineno + 1):
+    body = lines[lineno:]
+    # Comment lines between entries are rare; drop them only when the entry
+    # part of the file holds a '%' at all. A '%' left on an entry line fails
+    # the parse below, so a trailing note is rejected, not ignored.
+    if content.count("%") > sum(line.count("%") for line in lines[:lineno]):
+        body = [line for line in body if not line.lstrip().startswith("%")]
+    if any(map(str.strip, body)):
+        try:
+            entries = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1)
+        except ValueError as exc:
+            _raise_first_bad_entry(lines, lineno, nrows, ncols, symmetric, str(exc))
+    else:  # np.loadtxt warns on input without data
+        entries = np.zeros(0, dtype=_ENTRY)
+    i, j, v = entries["i"], entries["j"], entries["v"]
+    bad = ~np.isfinite(v) | (i < 1) | (i > nrows) | (j < 1) | (j > ncols)
+    if symmetric:
+        bad |= j > i
+    if bad.any():
+        _raise_first_bad_entry(lines, lineno, nrows, ncols, symmetric, "entry check failed")
+    if entries.size != nnz:
+        raise MatrixMarketError(f"size line promised {nnz} entries, file holds {entries.size}")
+    i, j = i - 1, j - 1
+    if symmetric:
+        off = i != j
+        i, j, v = (
+            np.concatenate([i, j[off]]),
+            np.concatenate([j, i[off]]),
+            np.concatenate([v, v[off]]),
+        )
+    return SparseMatrix.from_coo(nrows, ncols, i, j, v)
+
+
+def _raise_first_bad_entry(lines, start, nrows, ncols, symmetric, reason):
+    """Raise the MatrixMarketError of the first bad entry line after ``start``.
+
+    Runs only after the one-pass parse or one of its whole-array checks has
+    failed. It repeats the same checks line by line, in file order, so the
+    error names the first line at fault. ``reason`` is raised if no single
+    line is at fault.
+    """
+    for lineno, text in enumerate(lines[start:], start=start + 1):
         stripped = text.strip()
         if not stripped or stripped.startswith("%"):
             continue
         parts = stripped.split()
         if len(parts) != 3:
-            raise MatrixMarketError("entry line must be 'row col value'", line=entry_lineno)
+            raise MatrixMarketError("entry line must be 'row col value'", line=lineno)
         try:
+            if "_" in stripped:  # int() and float() read '1_0' as 10
+                raise ValueError(stripped)
             i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
-            raise MatrixMarketError(f"malformed entry {stripped!r}", line=entry_lineno) from None
+            raise MatrixMarketError(f"malformed entry {stripped!r}", line=lineno) from None
         if not math.isfinite(v):
-            raise MatrixMarketError(f"non-finite value {parts[2]!r}", line=entry_lineno)
+            raise MatrixMarketError(f"non-finite value {parts[2]!r}", line=lineno)
         if not (1 <= i <= nrows and 1 <= j <= ncols):
-            raise MatrixMarketError(f"index ({i}, {j}) out of range", line=entry_lineno)
-        if symmetry == "symmetric" and j > i:
+            raise MatrixMarketError(f"index ({i}, {j}) out of range", line=lineno)
+        if symmetric and j > i:
             raise MatrixMarketError(
-                "symmetric storage must hold the lower triangle only", line=entry_lineno
+                "symmetric storage must hold the lower triangle only", line=lineno
             )
-        entries.append((i - 1, j - 1, v))
-        if symmetry == "symmetric" and i != j:
-            entries.append((j - 1, i - 1, v))
-        seen += 1
-    if seen != nnz:
-        raise MatrixMarketError(f"size line promised {nnz} entries, file holds {seen}")
-    return SparseMatrix(nrows, ncols, entries)
+    raise MatrixMarketError(f"malformed entries: {reason}")
 
 
 def write_matrix_market(m, path, symmetric=False, comment=None):

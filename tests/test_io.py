@@ -108,6 +108,7 @@ def test_symmetric_read_mirrors_off_diagonals(tmp_path):
         ("%%MatrixMarket matrix coordinate real general\n2 x 1\n", 2),
         ("%%MatrixMarket matrix coordinate real general\n0 2 1\n", 2),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n", 2),
+        ("%%MatrixMarket matrix coordinate real general\n1_0 2 1\n", 2),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n", 3),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 abc\n", 3),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", 3),
@@ -123,6 +124,82 @@ def test_malformed_files_raise_with_line_number(tmp_path, text, line):
         read_matrix_market(p)
     if line is not None:
         assert f"line {line}" in str(exc.value)
+
+
+# Five lines the reader skips: comments, an empty line, and blank lines.
+_SKIPPED = "% a comment\n\n   \n%another % note\n\t\n"
+
+
+@pytest.mark.parametrize("tail", ["3 3 3.0", "3 3"], ids=["good-tail", "bad-tail"])
+@pytest.mark.parametrize(
+    "symmetry,bad,message",
+    [
+        ("general", "4 1 1.0", "index (4, 1) out of range"),
+        ("general", "1 0 1.0", "index (1, 0) out of range"),
+        ("symmetric", "1 2 1.0", "symmetric storage must hold the lower triangle only"),
+        ("general", "1 2 nan", "non-finite value 'nan'"),
+        ("symmetric", "2 2 -inf", "non-finite value '-inf'"),
+        ("general", "1 2", "entry line must be 'row col value'"),
+        ("general", "1 2 3.0 % note", "entry line must be 'row col value'"),
+        ("general", "1 2 3.0%note", "malformed entry '1 2 3.0%note'"),
+        ("general", "1_0 2 3.0", "malformed entry '1_0 2 3.0'"),
+        ("general", "1 2 1_5", "malformed entry '1 2 1_5'"),
+        ("general", "1 2 0x10", "malformed entry '1 2 0x10'"),
+    ],
+)
+def test_bad_entry_after_skipped_lines_names_its_line(tmp_path, symmetry, bad, message, tail):
+    # The bad entry is line 16; a later line is either fine or malformed
+    # itself, and the first bad line is the one named either way.
+    p = _write(
+        tmp_path / "bad.mtx",
+        f"%%MatrixMarket matrix coordinate real {symmetry}\n% header note\n3 3 4\n"
+        f"1 1 1.0\n{_SKIPPED}2 1 2.0\n{_SKIPPED}{bad}\n{tail}\n",
+    )
+    with pytest.raises(MatrixMarketError) as exc:
+        read_matrix_market(p)
+    assert str(exc.value) == f"line 16: {message}"
+    assert exc.value.line == 16
+
+
+@pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+@pytest.mark.parametrize("after", ["", "% trailing note\n\n  \n"])
+def test_file_without_entries_reads_as_empty_matrix(tmp_path, symmetry, after):
+    p = _write(tmp_path / "e.mtx", f"%%MatrixMarket matrix coordinate real {symmetry}\n2 2 0\n{after}")
+    m = read_matrix_market(p)
+    assert (m.nrows, m.ncols, m.nnz) == (2, 2, 0)
+    p = _write(tmp_path / "e.mtx", f"%%MatrixMarket matrix coordinate real {symmetry}\n2 2 1\n{after}")
+    with pytest.raises(MatrixMarketError, match="promised 1 entries, file holds 0"):
+        read_matrix_market(p)
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
+def test_messy_file_reads_back_its_entries_bitwise(tmp_path, rng, symmetric):
+    n, count = 6, 60
+    rows = rng.integers(1, n + 1, count)
+    cols = rng.integers(1, n + 1, count)
+    if symmetric:
+        rows, cols = np.maximum(rows, cols), np.minimum(rows, cols)
+    # Mixed magnitudes on few coordinates: duplicate sums depend on their order.
+    vals = rng.standard_normal(count) * 10.0 ** rng.integers(-12, 13, count)
+    lines = [f"%%MatrixMarket matrix coordinate real {'symmetric' if symmetric else 'general'}"]
+    lines += ["% generated", "", f"{n} {n} {count}"]
+    expected = []  # in the order a line-by-line reader appends them
+    for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        pick = rng.integers(4)
+        if pick == 0:
+            lines.append("% between entries")
+        elif pick == 1:
+            lines.append(" \t ")
+        sep = "\t" if rng.integers(2) else " "
+        lines.append(f"{'  ' if rng.integers(2) else ''}{i}{sep}{j} {v!r}")
+        expected.append((i - 1, j - 1, v))
+        if symmetric and i != j:
+            expected.append((j - 1, i - 1, v))
+    p = _write(tmp_path / "messy.mtx", "\n".join(lines) + "\n")
+    r, c, v = zip(*expected)
+    want = SparseMatrix.from_coo(n, n, r, c, v)
+    assert read_matrix_market(p) == want
+    assert want.nnz < len(expected)  # duplicates were summed
 
 
 def test_count_mismatch_message(tmp_path):
