@@ -6,9 +6,10 @@ block-diagonal reducible composites, and dominant-permutation matrices with
 small fill. Every family is built so that total support holds by
 construction: symmetric patterns carry a full diagonal (any off-diagonal
 nonzero extends to a permutation through its mirror and the diagonal), and
-nonsymmetric patterns are unions of permutations. Generation still verifies
-the structural claims, exhaustively at small sizes and by the cheap matching
-check always, and retries with a reseeded generator before giving up.
+nonsymmetric patterns are unions of permutations. Each construction hands
+back a witness of its guarantee (the permutations it drew, its block sizes,
+its mis-scaling), and generation checks the matrix against that witness in
+O(nnz) at every size, retrying with a reseeded generator before giving up.
 """
 
 import math
@@ -16,9 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from equilibrate.diagnostics import CONDITION_SIZE_CAP
 from equilibrate.errors import ConfigError, GenerationFailed
 from equilibrate.matrix import SparseMatrix
-from equilibrate.structure import has_support, has_total_support, is_irreducible
 
 FAMILIES = (
     "spd",
@@ -29,8 +30,6 @@ FAMILIES = (
 )
 
 _MAX_ATTEMPTS = 20
-_FULL_CHECK_MAX_N = 600
-_FULL_CHECK_MAX_NNZ = 20000
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,8 @@ class CorpusSpec:
     the mis-scaling severity in decades: generated matrices are wrapped in
     diagonal factors with entries up to 10**scale_spread, which is what
     gives equilibration something to undo. blocks fixes the diagonal block
-    sizes of the reducible family.
+    sizes of the reducible family. Specs with a cond_target are built dense,
+    so their n is capped at CONDITION_SIZE_CAP.
     """
 
     family: str
@@ -73,6 +73,8 @@ class CorpusSpec:
             raise ValueError("density must lie in (0, 1]")
         if self.cond_target is not None and not self.cond_target >= 1.0:
             raise ValueError("cond_target must be at least 1")
+        if self.cond_target is not None and self.n > CONDITION_SIZE_CAP:
+            raise ValueError(f"cond_target specs are dense; n must be at most {CONDITION_SIZE_CAP}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.scale_spread < 0:
@@ -166,14 +168,33 @@ def _upper_pairs(rng, n, count):
     return rows, cols
 
 
+@dataclass(frozen=True)
+class _Witness:
+    """Why a built matrix has total support, in a form checked in O(nnz).
+
+    Without ``perms`` the pattern is symmetric with a full nonzero diagonal,
+    so each off-diagonal (i, j) lies on the transposition (i j) plus the
+    diagonal. With ``perms`` (one permutation per row, p[i] the column of
+    row i) the pattern is the union of those permutations. ``blocks`` are
+    diagonal block sizes no entry crosses. ``dominance`` is the mis-scaling
+    d under which D^-1 M D^-1 is strictly diagonally dominant with a
+    positive diagonal, which makes a symmetric M positive definite.
+    """
+
+    perms: np.ndarray | None = None
+    blocks: tuple | None = None
+    dominance: np.ndarray | None = None
+
+
 def _diag_mis_scale(rng, entries_rows, entries_cols, values, n, spread, symmetric):
+    """Mis-scaled values and the left factor (all ones when spread is 0)."""
     if spread <= 0:
-        return values
+        return values, np.ones(n)
     d_left = 10.0 ** rng.uniform(-spread, spread, size=n)
     d_right = d_left if symmetric else 10.0 ** rng.uniform(-spread, spread, size=n)
     # Group the two diagonal factors first: their product commutes bitwise,
     # so mirrored entries stay exactly equal when the scaling is symmetric.
-    return values * (d_left[entries_rows] * d_right[entries_cols])
+    return values * (d_left[entries_rows] * d_right[entries_cols]), d_left
 
 
 def _sym_sparse_parts(rng, spec, definite):
@@ -246,8 +267,9 @@ def _permutation_union_parts(rng, spec, dominant_decades=None):
 def _build_nonsymmetric(rng, spec):
     if spec.cond_target is None:
         rows, cols, vals = _permutation_union_parts(rng, spec)
-        vals = _diag_mis_scale(rng, rows, cols, vals, spec.n, spec.scale_spread, False)
-        return SparseMatrix.from_coo(spec.n, spec.n, rows, cols, vals)
+        vals, _ = _diag_mis_scale(rng, rows, cols, vals, spec.n, spec.scale_spread, False)
+        m = SparseMatrix.from_coo(spec.n, spec.n, rows, cols, vals)
+        return m, _Witness(perms=cols.reshape(-1, spec.n))
     n = spec.n
     u = np.linalg.qr(rng.standard_normal((n, n)))[0]
     v = np.linalg.qr(rng.standard_normal((n, n)))[0]
@@ -267,7 +289,7 @@ def _build_nonsymmetric(rng, spec):
         dl = 10.0 ** rng.uniform(-spec.scale_spread, spec.scale_spread, size=n)
         dr = 10.0 ** rng.uniform(-spec.scale_spread, spec.scale_spread, size=n)
         a = a * dr * dl[:, None]
-    return SparseMatrix.from_dense(a)
+    return SparseMatrix.from_dense(a), _Witness()
 
 
 def _build_reducible(rng, spec):
@@ -287,28 +309,26 @@ def _build_reducible(rng, spec):
         cols_all.append(cols + offset)
         vals_all.append(vals * level)
         offset += size
-    return SparseMatrix.from_coo(
+    m = SparseMatrix.from_coo(
         spec.n,
         spec.n,
         np.concatenate(rows_all),
         np.concatenate(cols_all),
         np.concatenate(vals_all),
     )
+    return m, _Witness(blocks=blocks)
 
 
 def _build(rng, spec):
-    if spec.family == "spd":
+    """The matrix a spec describes and the witness of its total support."""
+    if spec.family in ("spd", "symmetric_indefinite"):
+        definite = spec.family == "spd"
         if spec.cond_target is not None:
-            return _sym_dense(rng, spec, definite=True)
-        rows, cols, vals = _sym_sparse_parts(rng, spec, definite=True)
-        vals = _diag_mis_scale(rng, rows, cols, vals, spec.n, spec.scale_spread, True)
-        return SparseMatrix.from_coo(spec.n, spec.n, rows, cols, vals)
-    if spec.family == "symmetric_indefinite":
-        if spec.cond_target is not None:
-            return _sym_dense(rng, spec, definite=False)
-        rows, cols, vals = _sym_sparse_parts(rng, spec, definite=False)
-        vals = _diag_mis_scale(rng, rows, cols, vals, spec.n, spec.scale_spread, True)
-        return SparseMatrix.from_coo(spec.n, spec.n, rows, cols, vals)
+            return _sym_dense(rng, spec, definite), _Witness()
+        rows, cols, vals = _sym_sparse_parts(rng, spec, definite)
+        vals, d = _diag_mis_scale(rng, rows, cols, vals, spec.n, spec.scale_spread, True)
+        m = SparseMatrix.from_coo(spec.n, spec.n, rows, cols, vals)
+        return m, _Witness(dominance=d if definite else None)
     if spec.family == "nonsymmetric_general":
         return _build_nonsymmetric(rng, spec)
     if spec.family == "reducible_blocks":
@@ -316,14 +336,54 @@ def _build(rng, spec):
     rows, cols, vals = _permutation_union_parts(
         rng, spec, dominant_decades=spec.scale_spread
     )
-    return SparseMatrix.from_coo(spec.n, spec.n, rows, cols, vals)
+    m = SparseMatrix.from_coo(spec.n, spec.n, rows, cols, vals)
+    return m, _Witness(perms=cols.reshape(-1, spec.n))
 
 
-def _verify(spec, m):
-    if spec.family in ("spd", "symmetric_indefinite", "reducible_blocks"):
-        if not m.is_symmetric():
+def _is_permutation_union(m, perms):
+    """Whether each row of ``perms`` is a permutation and m's pattern is their union."""
+    on_perm = np.zeros(m.nnz, dtype=bool)
+    for p in perms:
+        seen = np.zeros(m.nrows, dtype=bool)
+        seen[p] = True
+        # Stored keys are unique, so n hits mean every (i, p[i]) is stored.
+        hits = p[m.rows] == m.indices
+        if not seen.all() or np.count_nonzero(hits) != m.nrows:
+            return False
+        on_perm |= hits
+    return bool(on_perm.all())
+
+
+def _is_dominant(m, d):
+    """Whether each row of D^-1 M D^-1 has a diagonal above its off-diagonal mass."""
+    a = m.data / (d[m.rows] * d[m.indices])
+    on_diag = m.rows == m.indices
+    diag = np.zeros(m.nrows)
+    diag[m.rows[on_diag]] = a[on_diag]
+    off = np.bincount(m.rows, weights=np.where(on_diag, 0.0, np.abs(a)), minlength=m.nrows)
+    return bool(np.all(diag > off))
+
+
+def _verify(spec, m, witness):
+    n = m.nrows
+    if witness.perms is not None:
+        if not _is_permutation_union(m, witness.perms):
+            return "pattern is not the union of its permutations"
+    else:
+        if spec.family == "nonsymmetric_general":
+            if not np.array_equal(np.sort(m.indices * n + m.rows), m.rows * n + m.indices):
+                return "pattern is not symmetric"
+        elif not m.is_symmetric():
             return "matrix is not symmetric"
-    if spec.family == "spd":
+        if np.count_nonzero(m.rows == m.indices) != n:
+            return "diagonal is not full"
+    if witness.blocks is not None:
+        block = np.repeat(np.arange(len(witness.blocks)), witness.blocks)
+        if np.any(block[m.rows] != block[m.indices]):
+            return "an entry crosses a block boundary"
+    if witness.dominance is not None and not _is_dominant(m, witness.dominance):
+        return "diagonal dominance certificate failed"
+    if spec.family == "spd" and spec.cond_target is not None:
         try:
             np.linalg.cholesky(m.to_dense())
         except np.linalg.LinAlgError:
@@ -337,18 +397,6 @@ def _verify(spec, m):
             diag = m.diagonal()
             if not (diag.max() > 0.0 and diag.min() < 0.0):
                 return "no indefiniteness certificate on the diagonal"
-    if spec.family == "reducible_blocks" and is_irreducible(m):
-        return "reducible matrix came out irreducible"
-    if not has_support(m):
-        return "matrix lost structural full rank"
-    # The per-nonzero check costs O(nnz * E) in the worst case; above the
-    # gate the constructions' own total-support guarantees stand in for it.
-    if (
-        m.nrows <= _FULL_CHECK_MAX_N
-        and m.nnz <= _FULL_CHECK_MAX_NNZ
-        and not has_total_support(m)
-    ):
-        return "matrix lost total support"
     return None
 
 
@@ -357,21 +405,22 @@ def generate(spec):
 
     Deterministic: equal specs produce bitwise-identical matrices. Each
     attempt draws from a generator seeded by (seed, attempt); construction
-    makes the structural invariants hold by design, and verification
-    re-checks them, exhaustively up to n = 600, before the matrix is
-    released. Persistent verification failures raise GenerationFailed.
+    makes total support hold by design and records a witness of it, and
+    verification checks the matrix against that witness, at every size,
+    before the matrix is released. Persistent verification failures raise
+    GenerationFailed.
     """
     failure = "no attempts made"
     for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.Generator(np.random.PCG64([spec.seed, attempt]))
         try:
-            m = _build(rng, spec)
+            m, witness = _build(rng, spec)
         except GenerationFailed:
             raise
         except np.linalg.LinAlgError as exc:
             failure = str(exc)
             continue
-        failure = _verify(spec, m)
+        failure = _verify(spec, m, witness)
         if failure is None:
             return m
     raise GenerationFailed(f"gave up on {spec_name(spec)}: {failure}")
