@@ -9,7 +9,6 @@ which is what makes them usable when the matrix is an opaque operator.
 from equilibrate.corpus import CorpusSpec, generate, read_spec_file, spec_name
 from equilibrate.diagnostics import (
     CONDITION_SIZE_CAP,
-    RatioMetric,
     condition_number,
     convergence_history,
     ratio,
@@ -80,7 +79,6 @@ __all__ = [
     "MatrixMarketError",
     "OmegaSchedule",
     "ProbeSource",
-    "RatioMetric",
     "RunReport",
     "SizeCapExceeded",
     "SparseMatrix",

@@ -63,8 +63,12 @@ class ExperimentConfig:
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {alg!r}")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ConfigError("algorithms must not repeat")
         if not self.budgets or any(b < 1 for b in self.budgets):
             raise ConfigError("budgets must be positive integers")
+        if len(set(self.budgets)) < len(self.budgets):
+            raise ConfigError("budgets must not repeat")
         if self.seeds_per_run < 1:
             raise ConfigError("seeds_per_run must be at least 1")
         if self.fmt not in ("csv", "json"):
@@ -146,20 +150,18 @@ def _failure_rows(name, algorithms, budgets, seeds, message):
     ]
 
 
-def _measure_cell(row, m, alg, symmetric, cond_cap):
-    """Scale ``m`` for ``row``'s cell and fill in its outcome fields.
+def _measure_cell(row, m, alg, cond_cap):
+    """Scale ``m`` with ``alg`` for ``row``'s cell and fill in its outcome fields.
 
-    ``symmetric`` says whether ``m`` is. Symmetric-only algorithms keep a
-    symmetric input symmetric, so they skip the detection on the scaled
-    matrix; for the others it decides whether the column spread counts.
+    wall_time covers the scaling only; the condition number after scaling
+    is measured when ``row`` has one from before.
     """
-    scaled_symmetric = True if symmetric and alg.symmetric_only else None
     start = time.perf_counter()
     try:
         scaling = alg.scaling(m, row.nmv, row.seed)
         row.wall_time = time.perf_counter() - start
         scaled = scale(m, scaling)
-        row.ratio_after = ratio(scaled, symmetric=scaled_symmetric).value
+        row.ratio_after = ratio(scaled)
         if row.cond_before is not None:
             row.cond_after = condition_number(scaled, cap=cond_cap)
     except CELL_ERRORS as exc:
@@ -193,7 +195,7 @@ def run_experiment(cfg):
             a for a in cfg.algorithms if symmetric or not TABLE[a].symmetric_only
         ]
         try:
-            ratio_before = ratio(m, symmetric=symmetric).value
+            ratio_before = ratio(m)
             cond_before = None
             if m.nrows == m.ncols and max(m.nrows, m.ncols) <= cfg.cond_cap:
                 cond_before = condition_number(m, cap=cfg.cond_cap)
@@ -221,7 +223,7 @@ def run_experiment(cfg):
                             ratio_before=ratio_before,
                             cond_before=cond_before,
                         )
-                        _measure_cell(row, m, alg, symmetric, cfg.cond_cap)
+                        _measure_cell(row, m, alg, cfg.cond_cap)
                         computed[key] = row
                     reports.append(dataclasses.replace(computed[key], nmv=budget, seed=seed))
     reports.sort(key=lambda r: (r.matrix_name, r.algorithm, r.nmv, r.seed))

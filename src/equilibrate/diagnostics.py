@@ -1,11 +1,11 @@
 """Measurements taken before and after scaling, and the algorithm table.
 
-The headline metric is the spread of row (and column) 2-norms: a perfectly
-equilibrated matrix scores exactly 1. Condition numbers are computed densely
-and are therefore size-capped. `TABLE` says how each named algorithm scales
-a matrix; batch runs and convergence histories both go through it, and a
-history measures the spread after each sweep, which is how the comparison
-plots in the reports are produced.
+The headline metric is the worse of the row and column 2-norm spreads: a
+perfectly equilibrated matrix scores exactly 1. Condition numbers are
+computed densely and are therefore size-capped. `TABLE` says how each named
+algorithm scales a matrix; batch runs and convergence histories both go
+through it, and a history measures the spread after each sweep, which is
+how the comparison plots in the reports are produced.
 """
 
 import math
@@ -28,14 +28,6 @@ from equilibrate.stochastic import ProbeSource, snbin, ssbin
 CONDITION_SIZE_CAP = 2000
 
 
-@dataclass(frozen=True)
-class RatioMetric:
-    """Norm-spread measurement; side records which norms were compared."""
-
-    value: float
-    side: str  # "rows" or "max_of_both"
-
-
 def row_norms_squared(m):
     return np.bincount(m.rows, weights=m.data * m.data, minlength=m.nrows)
 
@@ -44,26 +36,20 @@ def col_norms_squared(m):
     return np.bincount(m.indices, weights=m.data * m.data, minlength=m.ncols)
 
 
-def ratio(m, symmetric=None):
-    """Largest over smallest row 2-norm; 1 means perfectly equilibrated.
+def ratio(m):
+    """Worse of the row and column 2-norm spreads; 1 means equilibrated.
 
-    For symmetric matrices the row spread is the whole story. Otherwise the
-    column spread is measured too and the larger of the two is reported.
-    Pass ``symmetric`` to skip the detection when the caller already knows.
+    Each spread is the largest over the smallest norm. On a bitwise
+    symmetric matrix the two are the same number, since column i's squares
+    are summed in the same order as row i's.
     """
-    if symmetric is None:
-        symmetric = m.is_symmetric()
     rs = row_norms_squared(m)
     if rs.min() == 0.0:
         raise ZeroRowOrColumn("matrix has a zero row")
-    value = math.sqrt(rs.max() / rs.min())
-    if symmetric:
-        return RatioMetric(value, "rows")
     cs = col_norms_squared(m)
     if cs.min() == 0.0:
         raise ZeroRowOrColumn("matrix has a zero column")
-    value = max(value, math.sqrt(cs.max() / cs.min()))
-    return RatioMetric(value, "max_of_both")
+    return math.sqrt(max(rs.max() / rs.min(), cs.max() / cs.min()))
 
 
 def condition_number(m, cap=CONDITION_SIZE_CAP):
@@ -103,9 +89,7 @@ class Algorithm:
     that reads them. ``on_iteration(k, scaling)``, when given, sees the
     scaling after each sweep or iteration; one-shot algorithms call it once
     with their result. ``symmetric_only`` algorithms take symmetric inputs
-    only and give symmetric scalings, which keep a symmetric matrix bitwise
-    symmetric (``matrix.scale`` groups the two factors so they mirror
-    exactly). ``uses_seed`` and ``uses_budget`` say whether the result can
+    only. ``uses_seed`` and ``uses_budget`` say whether the result can
     change with those parameters.
     """
 
@@ -167,7 +151,7 @@ TABLE = {
         partial(_sk_exact, symmetric=True), symmetric_only=True, uses_budget=True
     ),
     "jacobi": Algorithm(
-        lambda m, b, s, on_iteration=None: _once(jacobi_scale(m)[0], on_iteration),
+        lambda m, b, s, on_iteration=None: _once(jacobi_scale(m), on_iteration),
         symmetric_only=True,
     ),
     "inf_norm": Algorithm(
@@ -190,15 +174,13 @@ def convergence_history(a, algorithm, nmv=100, seed=0):
     alg = TABLE.get(algorithm)
     if alg is None:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    symmetric = a.is_symmetric()
-    if alg.symmetric_only and not symmetric:
+    if alg.symmetric_only and not a.is_symmetric():
         raise ValueError(f"{algorithm} requires a symmetric matrix")
 
-    series = [math.log10(ratio(a, symmetric=symmetric).value)]
+    series = [math.log10(ratio(a))]
 
     def record(k, s):
-        scaled = scale(a, s)
-        series.append(math.log10(ratio(scaled, symmetric=alg.symmetric_only).value))
+        series.append(math.log10(ratio(scale(a, s))))
 
     alg.scaling(a, nmv, seed, on_iteration=record)
     return series

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from equilibrate.errors import DimensionMismatch, ZeroRowOrColumn
-from equilibrate.matrix import DiagonalScaling, SparseMatrix, elementwise_square, scale
+from equilibrate.matrix import DiagonalScaling, elementwise_square
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,7 @@ def jacobi_scale(a):
         raise DimensionMismatch("Jacobi scaling requires a symmetric matrix")
     diag = a.diagonal()
     safe = np.where(diag != 0.0, np.abs(diag), 1.0)
-    scaling = DiagonalScaling.symmetric(1.0 / np.sqrt(safe))
-    return scaling, scale(a, scaling)
+    return DiagonalScaling.symmetric(1.0 / np.sqrt(safe))
 
 
 def inf_norm_scale(a):

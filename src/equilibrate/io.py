@@ -194,6 +194,7 @@ class RunReport:
 
 
 REPORT_FIELDS = [f.name for f in dataclasses.fields(RunReport)]
+_FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunReport) if f.type == float | None]
 
 
 def report_cell(value):
@@ -245,7 +246,7 @@ def read_report_json(path):
         rows = json.load(fh)
     reports = []
     for row in rows:
-        for key in ("cond_before", "cond_after"):
+        for key in _FLOAT_FIELDS:
             if row.get(key) == "inf":
                 row[key] = math.inf
         reports.append(RunReport(**row))

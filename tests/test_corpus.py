@@ -179,13 +179,13 @@ def test_permutation_family_is_sparse_and_badly_scaled():
     )
     m = generate(spec)
     assert m.nnz <= 4 * 80
-    assert ratio(m).value > 100.0
+    assert ratio(m) > 100.0
 
 
 def test_scale_spread_inflates_norm_ratio():
     flat = generate(CorpusSpec(family="spd", n=50, density=0.2, seed=8))
     spread = generate(CorpusSpec(family="spd", n=50, density=0.2, seed=8, scale_spread=2.5))
-    assert ratio(spread).value > 10 * ratio(flat).value
+    assert ratio(spread) > 10 * ratio(flat)
 
 
 def test_reducible_too_small_without_blocks_fails():

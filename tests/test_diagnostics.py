@@ -31,32 +31,37 @@ def test_norms_squared_match_dense(rng):
 def test_ratio_on_known_matrix():
     m = SparseMatrix.from_dense(np.diag([3.0, 4.0, 12.0]))
     r = ratio(m)
-    assert r.value == pytest.approx(4.0)
-    assert r.side == "rows"
+    assert type(r) is float
+    assert r == pytest.approx(4.0)
+    assert ratio(SparseMatrix.from_dense(np.diag([1.0, 10.0]))) == pytest.approx(10.0)
 
 
 def test_ratio_reports_worse_side_for_nonsymmetric():
-    # Rows have norms (5, 5); columns have norms (3, sqrt(32) + ...) --
-    # build a matrix whose column spread exceeds its row spread.
+    # Rows of the first matrix have norms (5, 5) and so do its columns; the
+    # second has row norms (sqrt(5), sqrt(5)) and column norms (sqrt(2),
+    # sqrt(8)), so only the column spread is 2.
     m = SparseMatrix.from_dense(np.array([[3.0, 4.0], [4.0, -3.0]]))
-    assert ratio(m).value == pytest.approx(1.0)
+    assert ratio(m) == pytest.approx(1.0)
     m2 = SparseMatrix.from_dense(np.array([[1.0, 2.0], [-1.0, 2.0]]))
-    r = ratio(m2)
-    assert r.side == "max_of_both"
-    assert r.value == pytest.approx(2.0)
+    assert ratio(m2) == pytest.approx(2.0)
 
 
-def test_ratio_symmetric_override():
-    m = SparseMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 10.0]]))
-    assert ratio(m, symmetric=True).side == "rows"
-    assert ratio(m, symmetric=False).side == "max_of_both"
-    assert ratio(m, symmetric=False).value == pytest.approx(10.0)
+@pytest.mark.parametrize("family", ["spd", "symmetric_indefinite", "reducible_blocks"])
+def test_row_and_column_norms_of_symmetric_matrix_are_bitwise_equal(family):
+    # ratio needs no symmetry flag because of this: bincount sums column i's
+    # squares in the same order as row i's, before and after a symmetric scale.
+    for seed in range(3):
+        m = generate(CorpusSpec(family=family, n=40, density=0.2, seed=seed, scale_spread=2.0))
+        assert m.is_symmetric()
+        d = 10.0 ** np.random.default_rng(seed).uniform(-3, 3, m.nrows)
+        for a in (m, scale(m, DiagonalScaling.symmetric(d))):
+            assert np.array_equal(row_norms_squared(a), col_norms_squared(a))
 
 
 def test_ratio_is_invariant_under_uniform_scaling(rng):
     m = random_sparse(rng, 6, 6)
     m2 = SparseMatrix.from_coo(6, 6, m.rows, m.indices, m.data * 8.0)
-    assert ratio(m2).value == pytest.approx(ratio(m).value, rel=1e-14)
+    assert ratio(m2) == pytest.approx(ratio(m), rel=1e-14)
 
 
 def test_ratio_zero_row_raises():
@@ -126,7 +131,7 @@ def test_history_symmetric_only_algorithms_guarded(rng):
 def test_history_lengths_and_start(rng):
     dense = rng.standard_normal((8, 8))
     sym = SparseMatrix.from_dense(dense + dense.T)
-    start = math.log10(ratio(sym).value)
+    start = math.log10(ratio(sym))
     for alg in TABLE:
         series = convergence_history(sym, alg, nmv=12, seed=1)
         assert series[0] == pytest.approx(start)
@@ -178,12 +183,12 @@ def test_history_of_one_shot_algorithms_is_two_points(rng):
     dense = rng.standard_normal((8, 8))
     sym = SparseMatrix.from_dense(dense + dense.T + 4 * np.eye(8))
     series = convergence_history(sym, "jacobi", nmv=12)
-    after = ratio(scale(sym, jacobi_scale(sym)[0]), symmetric=True).value
-    assert series == [math.log10(ratio(sym).value), math.log10(after)]
+    after = ratio(scale(sym, jacobi_scale(sym)))
+    assert series == [math.log10(ratio(sym)), math.log10(after)]
     m = SparseMatrix.from_dense(rng.standard_normal((6, 6)))
     series = convergence_history(m, "inf_norm", nmv=12)
-    after = ratio(scale(m, inf_norm_scale(m)), symmetric=False).value
-    assert series == [math.log10(ratio(m).value), math.log10(after)]
+    after = ratio(scale(m, inf_norm_scale(m)))
+    assert series == [math.log10(ratio(m)), math.log10(after)]
 
 
 # ------------------------------------------------------ algorithm table

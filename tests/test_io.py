@@ -235,11 +235,15 @@ def test_csv_report_layout(tmp_path):
 
 def test_json_report_round_trip(tmp_path):
     p = tmp_path / "r.json"
-    reports = _sample_reports()
+    # An overflowing cell reads ratio_after = inf; a matrix may be named "inf".
+    overflowing = RunReport("inf", "jacobi", 0, 32, math.inf, math.inf, wall_time=math.inf)
+    reports = _sample_reports() + [overflowing]
     write_report(reports, "json", p)
     back = read_report_json(p)
     assert back == reports
     assert math.isinf(back[1].cond_before)
+    assert math.isinf(back[3].ratio_after)
+    assert back[3].matrix_name == "inf"
 
 
 def test_unknown_report_format_raises(tmp_path):

@@ -28,7 +28,7 @@ def _ident(n):
 
 
 def _sym_ratio(m, x):
-    return ratio(scale(m, DiagonalScaling.symmetric(x))).value
+    return ratio(scale(m, DiagonalScaling.symmetric(x)))
 
 
 # ---------------------------------------------------------------- schedule
@@ -229,7 +229,7 @@ def test_snbin_identity_stays_near_equilibrated():
     ident = _ident(4)
     op = from_sparse(ident)
     ratios = [
-        ratio(scale(ident, snbin(op, 128, probes=seed))).value for seed in range(10)
+        ratio(scale(ident, snbin(op, 128, probes=seed))) for seed in range(10)
     ]
     assert max(ratios) < 1.65
     assert np.median(ratios) < 1.35
@@ -273,10 +273,10 @@ def test_snbin_improves_badly_scaled_matrix():
     d2 = 10.0 ** rng.uniform(-2, 2, n)
     a = SparseMatrix.from_dense(d1[:, None] * rng.standard_normal((n, n)) * d2)
     op = from_sparse(a)
-    before = ratio(a).value
+    before = ratio(a)
     assert before > 1e3
     for seed in range(5):
-        after = ratio(scale(a, snbin(op, 64, probes=seed))).value
+        after = ratio(scale(a, snbin(op, 64, probes=seed)))
         assert after < before / 100
 
 
@@ -361,7 +361,7 @@ def test_blending_reciprocals_is_much_worse():
     worse = 0
     good_ratios, bad_ratios = [], []
     for seed in range(10):
-        good = ratio(scale(a, snbin(op, 64, probes=seed))).value
+        good = ratio(scale(a, snbin(op, 64, probes=seed)))
         left, right = _snbin_reciprocal_variant(op, 64, seed)
         usable = (
             np.all(np.isfinite(left))
@@ -370,7 +370,7 @@ def test_blending_reciprocals_is_much_worse():
             and np.all(right > 0)
         )
         bad = (
-            ratio(scale(a, DiagonalScaling(left, right))).value if usable else np.inf
+            ratio(scale(a, DiagonalScaling(left, right))) if usable else np.inf
         )
         good_ratios.append(good)
         bad_ratios.append(bad)
