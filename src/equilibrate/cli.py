@@ -27,6 +27,7 @@ from equilibrate.diagnostics import (
 from equilibrate.errors import ConfigError, EquilibrateError, MatrixMarketError
 from equilibrate.io import (
     RunReport,
+    open_output,
     read_matrix_market,
     write_matrix_market,
     write_report,
@@ -37,7 +38,6 @@ from equilibrate.structure import structure_report
 DEFAULT_BUDGETS = (32, 64, 128)
 DEFAULT_NMV = 100
 ALGORITHMS = tuple(TABLE)
-SYMMETRIC_ONLY = frozenset(name for name, alg in TABLE.items() if alg.symmetric_only)
 # What a bad matrix can raise inside a cell; np.linalg.LinAlgError is a
 # ValueError. Anything else is a bug and aborts the batch.
 CELL_ERRORS = (EquilibrateError, ValueError, FloatingPointError)
@@ -256,18 +256,6 @@ def emit_history(m, algorithm, nmv, seeds):
     return columns, rows
 
 
-def _write_csv(columns, rows, out):
-    if out is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(columns)
-        writer.writerows(rows)
-        return
-    with open(out, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
-
-
 def _cmd_run(args):
     cfg = parse_config(args.config)
     if args.out is not None:
@@ -289,7 +277,10 @@ def _cmd_run(args):
 def _cmd_history(args):
     m = read_matrix_market(args.matrix)
     columns, rows = emit_history(m, args.alg, args.nmv, range(args.seeds))
-    _write_csv(columns, rows, args.out)
+    with open_output(args.out) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
     return 0
 
 

@@ -149,23 +149,26 @@ def read_spec_file(path):
 
 
 def _upper_pairs(rng, n, count):
-    """Draw ``count`` distinct index pairs (i, j) with i < j."""
+    """Draw ``count`` distinct index pairs (i, j) with i < j, in first-drawn order."""
     count = min(count, n * (n - 1) // 2)
     if count <= 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    rows = np.empty(0, dtype=np.int64)
-    cols = np.empty(0, dtype=np.int64)
-    while rows.size < count:
-        need = count - rows.size
-        draw = max(64, int(2.5 * need))
+    kept = np.empty(0, dtype=np.int64)  # keys i * n + j, in the order drawn
+    seen = np.array([n * n], dtype=np.int64)  # the same keys sorted, then one none reaches
+    while kept.size < count:
+        draw = max(64, int(2.5 * (count - kept.size)))
         i = rng.integers(0, n, size=draw)
         j = rng.integers(0, n, size=draw)
         keep = i < j
-        flat = np.concatenate([rows * n + cols, i[keep] * n + j[keep]])
-        flat = flat[np.sort(np.unique(flat, return_index=True)[1])]
-        flat = flat[:count]
-        rows, cols = flat // n, flat % n
-    return rows, cols
+        new = i[keep] * n + j[keep]
+        new = new[np.sort(np.unique(new, return_index=True)[1])]
+        new = new[seen[np.searchsorted(seen, new)] != new]
+        new = new[: count - kept.size]
+        if new.size:
+            kept = np.concatenate([kept, new])
+            ordered = np.sort(new)
+            seen = np.insert(seen, np.searchsorted(seen, ordered), ordered)
+    return kept // n, kept % n
 
 
 @dataclass(frozen=True)
@@ -371,7 +374,8 @@ def _verify(spec, m, witness):
             return "pattern is not the union of its permutations"
     else:
         if spec.family == "nonsymmetric_general":
-            if not np.array_equal(np.sort(m.indices * n + m.rows), m.rows * n + m.indices):
+            t = m.transpose()
+            if not (np.array_equal(t.rows, m.rows) and np.array_equal(t.indices, m.indices)):
                 return "pattern is not symmetric"
         elif not m.is_symmetric():
             return "matrix is not symmetric"

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ def read_matrix_market(path):
 
     Symmetric storage is mirrored (off-diagonal entries appear twice in the
     result), indices are converted to 0-based, and duplicate coordinates are
-    summed by the SparseMatrix constructor. Entries are decimal integers and
+    summed by `SparseMatrix.from_coo`. Entries are decimal integers and
     decimal floats; blank lines and whole-line `%` comments are skipped. A
     malformed entry, an index out of range, an upper-triangle entry in
     symmetric storage, or a nan or infinite value is rejected with its line
@@ -208,6 +209,16 @@ def report_cell(value):
     return str(value)
 
 
+@contextmanager
+def open_output(path):
+    """ASCII text handle on ``path`` for CSV or JSON output; standard output for None."""
+    if path is None:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        yield fh
+
+
 def write_report(reports, fmt, path):
     """Serialize reports as CSV (header row, fixed column order) or JSON.
 
@@ -215,10 +226,7 @@ def write_report(reports, fmt, path):
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r} (use 'csv' or 'json')")
-    if path is None:
-        _dump_report(reports, fmt, sys.stdout)
-        return
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with open_output(path) as fh:
         _dump_report(reports, fmt, fh)
 
 

@@ -1,9 +1,10 @@
 """Sparse matrices, diagonal scalings, and the matrix-free operator type.
 
-`SparseMatrix` is a CSR-backed explicit matrix used by the exact algorithms,
-structure checks, and diagnostics. `LinearOperator` is the product-only view
-of a matrix: the stochastic algorithms accept nothing else, so they cannot
-read elements even by accident.
+`SparseMatrix` is an explicit matrix used by the exact algorithms, structure
+checks, and diagnostics; it stores row-major sorted COO arrays (row index,
+column index, value) plus CSR row pointers. `LinearOperator` is the
+product-only view of a matrix: the stochastic algorithms accept nothing
+else, so they cannot read elements even by accident.
 """
 
 from dataclasses import dataclass
@@ -20,48 +21,24 @@ def _freeze(a):
 
 
 class SparseMatrix:
-    """Immutable sparse matrix in canonical CSR form.
+    """Immutable sparse matrix in canonical form.
 
-    Construction accepts entries in any order; duplicate (row, col) pairs are
-    summed (Matrix Market convention) and explicitly zero values are dropped.
     Stored arrays are row-major sorted with unique keys, int64 indices, and
-    float64 values, shared read-only. The answer of `is_symmetric` is
-    memoized, since nothing can change it.
+    float64 values, shared read-only; no stored value is zero. `from_coo`
+    accepts entries in any order and sums duplicate (row, col) pairs
+    (Matrix Market convention); derived matrices are stored without
+    re-sorting. The answer of `is_symmetric` is memoized, since nothing can
+    change it.
     """
 
     __slots__ = ("nrows", "ncols", "indptr", "indices", "data", "rows", "_symmetric")
 
-    def __init__(self, nrows, ncols, entries=()):
-        entries = list(entries)
-        rows = np.array([e[0] for e in entries], dtype=np.int64)
-        cols = np.array([e[1] for e in entries], dtype=np.int64)
-        vals = np.array([e[2] for e in entries], dtype=np.float64)
-        self._build(nrows, ncols, rows, cols, vals)
-
     @classmethod
     def from_coo(cls, nrows, ncols, rows, cols, vals):
-        """Build from parallel coordinate arrays (duplicates summed)."""
-        m = cls.__new__(cls)
-        m._build(
-            nrows,
-            ncols,
-            np.asarray(rows, dtype=np.int64).ravel(),
-            np.asarray(cols, dtype=np.int64).ravel(),
-            np.asarray(vals, dtype=np.float64).ravel(),
-        )
-        return m
-
-    @classmethod
-    def from_dense(cls, array):
-        array = np.asarray(array, dtype=np.float64)
-        if array.ndim != 2:
-            raise DimensionMismatch("dense input must be 2-D")
-        rows, cols = np.nonzero(array)
-        return cls.from_coo(array.shape[0], array.shape[1], rows, cols, array[rows, cols])
-
-    def _build(self, nrows, ncols, rows, cols, vals):
-        if nrows <= 0 or ncols <= 0:
-            raise DimensionMismatch("matrix dimensions must be positive")
+        """Build from parallel coordinate arrays in any order (duplicates summed)."""
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        cols = np.asarray(cols, dtype=np.int64).ravel()
+        vals = np.asarray(vals, dtype=np.float64).ravel()
         if not (rows.size == cols.size == vals.size):
             raise DimensionMismatch("coordinate arrays must have equal length")
         if rows.size:
@@ -71,34 +48,46 @@ class SparseMatrix:
                 raise DimensionMismatch("column index out of range")
             key = rows * np.int64(ncols) + cols
             order = np.argsort(key, kind="stable")
-            key = key[order]
-            vals = vals[order]
-            uniq, start = np.unique(key, return_index=True)
-            sums = np.add.reduceat(vals, start)
-            keep = sums != 0.0
-            uniq, sums = uniq[keep], sums[keep]
-            rows = uniq // ncols
-            cols = uniq % ncols
-            vals = sums
+            key, start = np.unique(key[order], return_index=True)
+            vals = np.add.reduceat(vals[order], start)
+            rows, cols = key // ncols, key % ncols
+        return cls.__new__(cls)._set(nrows, ncols, rows, cols, vals)
+
+    @classmethod
+    def from_dense(cls, array):
+        array = np.asarray(array, dtype=np.float64)
+        if array.ndim != 2:
+            raise DimensionMismatch("dense input must be 2-D")
+        rows, cols = np.nonzero(array)  # row-major, whatever the memory order
+        return cls.__new__(cls)._set(*array.shape, rows, cols, array[rows, cols])
+
+    def _set(self, nrows, ncols, rows, cols, vals, indptr=None, symmetric=None):
+        """Store row-major sorted, unique coordinates, dropping zero values.
+
+        ``indptr`` must match ``rows`` when given; it is recomputed only if a
+        value is dropped, so a caller passing another matrix's pattern
+        shares its arrays. ``symmetric`` presets the `is_symmetric` answer.
+        """
+        if nrows <= 0 or ncols <= 0:
+            raise DimensionMismatch("matrix dimensions must be positive")
+        keep = vals != 0.0
+        if not keep.all():
+            rows, cols, vals, indptr = rows[keep], cols[keep], vals[keep], None
+        if indptr is None:
+            indptr = np.zeros(nrows + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         self.rows = _freeze(np.ascontiguousarray(rows, dtype=np.int64))
         self.indices = _freeze(np.ascontiguousarray(cols, dtype=np.int64))
         self.data = _freeze(np.ascontiguousarray(vals, dtype=np.float64))
-        counts = np.bincount(self.rows, minlength=self.nrows)
-        indptr = np.zeros(self.nrows + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
         self.indptr = _freeze(indptr)
-        self._symmetric = None
+        self._symmetric = symmetric
+        return self
 
     @property
     def nnz(self):
         return self.data.size
-
-    @property
-    def entries(self):
-        """Entries as a row-major list of (row, col, value) triplets."""
-        return list(zip(self.rows.tolist(), self.indices.tolist(), self.data.tolist()))
 
     def matvec(self, x):
         x = np.ascontiguousarray(x, dtype=np.float64)
@@ -125,10 +114,11 @@ class SparseMatrix:
         return out
 
     def transpose(self):
-        return SparseMatrix.from_coo(self.ncols, self.nrows, self.indices, self.rows, self.data)
-
-    def is_square(self):
-        return self.nrows == self.ncols
+        # Transposed keys are unique, so any sort orders them the same way.
+        order = np.argsort(self.indices * np.int64(self.nrows) + self.rows)
+        return SparseMatrix.__new__(SparseMatrix)._set(
+            self.ncols, self.nrows, self.indices[order], self.rows[order], self.data[order]
+        )
 
     def is_symmetric(self):
         """Exact symmetry of both pattern and values."""
@@ -228,41 +218,29 @@ def from_sparse(m):
     return LinearOperator(m.nrows, m.ncols, m.matvec, m.rmatvec)
 
 
-def _with_data(m, data):
-    """Matrix with ``m``'s pattern and new nonzero values; symmetry unknown."""
-    out = SparseMatrix.__new__(SparseMatrix)
-    out.nrows, out.ncols = m.nrows, m.ncols
-    out.indptr, out.rows, out.indices = m.indptr, m.rows, m.indices
-    out.data = _freeze(data)
-    out._symmetric = None
-    return out
-
-
 def elementwise_square(m):
-    """Entrywise square, preserving the sparsity pattern.
+    """Entrywise square, preserving the sparsity pattern (underflows dropped).
 
     Squaring keeps mirrored entries equal, so a symmetric input's square is
     known symmetric; a nonsymmetric input's square may still be symmetric
     (entries differing only in sign), so that answer stays open.
     """
-    squared = m.data * m.data
-    if not squared.all():  # squaring underflowed somewhere; re-canonicalize
-        out = SparseMatrix.from_coo(m.nrows, m.ncols, m.rows, m.indices, squared)
-    else:
-        out = _with_data(m, squared)
-    if m._symmetric:
-        out._symmetric = True
-    return out
+    return SparseMatrix.__new__(SparseMatrix)._set(
+        m.nrows, m.ncols, m.rows, m.indices, m.data * m.data, m.indptr, m._symmetric or None
+    )
 
 
 def scale(m, s):
-    """Diagonally scaled copy: entry (i, j) becomes left[i] * m[i, j] * right[j]."""
+    """Diagonally scaled copy: entry (i, j) becomes left[i] * m[i, j] * right[j].
+
+    Positive factors can still underflow an entry to zero; it is dropped.
+    """
     if s.left.shape != (m.nrows,) or s.right.shape != (m.ncols,):
         raise DimensionMismatch("scaling vectors do not conform to the matrix")
     # Group the two diagonal factors so a symmetric scaling of a symmetric
     # matrix stays bitwise symmetric: v * (l_i * r_j) mirrors exactly,
     # (v * l_i) * r_j does not.
     data = m.data * (s.left[m.rows] * s.right[m.indices])
-    if not data.all():  # positive factors can still underflow to zero
-        return SparseMatrix.from_coo(m.nrows, m.ncols, m.rows, m.indices, data)
-    return _with_data(m, data)
+    return SparseMatrix.__new__(SparseMatrix)._set(
+        m.nrows, m.ncols, m.rows, m.indices, data, m.indptr
+    )

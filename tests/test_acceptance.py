@@ -469,10 +469,7 @@ def test_09_structure_predicates_match_exhaustive_oracles():
         pattern = (rng.random((n, n)) < density).astype(int)
         if trial % 3 == 0:
             np.fill_diagonal(pattern, 1)
-        entries = [
-            (i, j, 1.0) for i in range(n) for j in range(n) if pattern[i][j]
-        ]
-        m = SparseMatrix(n, n, entries)
+        m = SparseMatrix.from_dense(pattern)
         if has_support(m) != _support_oracle(pattern, n):
             mismatches += 1
         if has_total_support(m) != _total_support_oracle(pattern, n):

@@ -7,7 +7,6 @@ import pytest
 from equilibrate.cli import (
     ALGORITHMS,
     DEFAULT_BUDGETS,
-    SYMMETRIC_ONLY,
     TABLE,
     ExperimentConfig,
     emit_history,
@@ -30,9 +29,7 @@ def _write_config(path, text):
 
 def _identity_mtx(tmp_path, n=6):
     p = tmp_path / "identity.mtx"
-    write_matrix_market(
-        SparseMatrix(n, n, [(i, i, 1.0) for i in range(n)]), p, symmetric=True
-    )
+    write_matrix_market(SparseMatrix.from_dense(np.eye(n)), p, symmetric=True)
     return str(p)
 
 
@@ -150,7 +147,7 @@ def test_run_experiment_row_count_and_order(tmp_path):
     keys = [(r.matrix_name, r.algorithm, r.nmv, r.seed) for r in rows]
     assert keys == sorted(keys)
     nonsym_algs = {r.algorithm for r in rows if r.matrix_name.startswith("nonsym")}
-    assert nonsym_algs == set(ALGORITHMS) - SYMMETRIC_ONLY
+    assert nonsym_algs == {name for name, alg in TABLE.items() if not alg.symmetric_only}
 
 
 def test_run_experiment_records_metrics(tmp_path):

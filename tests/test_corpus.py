@@ -367,6 +367,7 @@ _PINNED_SPECS = (
     "family=nonsymmetric_general n=500 density=0.01 seed=103 scale_spread=2\n"
     "family=reducible_blocks n=200 density=0.05 seed=104 scale_spread=2\n"
     "family=permutation_plus_noise n=600 density=0.008 seed=105 scale_spread=2\n"
+    "family=spd n=60 density=1 seed=106 scale_spread=2\n"
 )
 _PINNED_FILES = {
     "nonsymmetric_general_n500_d0.01_sp2_s103.mtx":
@@ -377,6 +378,8 @@ _PINNED_FILES = {
         "84da2fabcc2d3effbddba201d3004326bdd61e4c2a67002868666d0369518ca6",
     "spd_n400_d0.02_sp2_s101.mtx":
         "0fabdcba061e762b0367fe9f628310e9c810e4c04873a5a46ba99048853f7a33",
+    "spd_n60_d1_sp2_s106.mtx":
+        "20bd194c0496759534536dbfdca27e8932a5c35ca8980d79d346fb5bba460454",
     "symmetric_indefinite_n300_d0.03_sp2_s102.mtx":
         "e509bb9b231c4ad5d2ef4c2a21593f52262a8abfa7c0d2f27763e3cc59745c28",
 }

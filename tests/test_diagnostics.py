@@ -66,9 +66,9 @@ def test_ratio_is_invariant_under_uniform_scaling(rng):
 
 def test_ratio_zero_row_raises():
     with pytest.raises(ZeroRowOrColumn):
-        ratio(SparseMatrix(2, 2, [(0, 0, 1.0), (0, 1, 1.0)]))
+        ratio(SparseMatrix.from_dense([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ZeroRowOrColumn):
-        ratio(SparseMatrix(2, 2, [(0, 0, 1.0), (1, 0, 1.0)]))
+        ratio(SparseMatrix.from_dense([[1.0, 0.0], [1.0, 0.0]]))
 
 
 def test_condition_number_closed_forms():
@@ -99,7 +99,7 @@ def test_condition_number_rejects_non_finite_entries(bad):
 
 def test_condition_number_size_cap():
     n = CONDITION_SIZE_CAP + 1
-    m = SparseMatrix(n, n, [(i, i, 1.0) for i in range(n)])
+    m = SparseMatrix.from_coo(n, n, np.arange(n), np.arange(n), np.ones(n))
     with pytest.raises(SizeCapExceeded):
         condition_number(m)
     small = SparseMatrix.from_dense(np.eye(3))

@@ -70,8 +70,14 @@ def test_sparse_matrix_with_full_diagonal_converges(rng):
     # Keep the pattern fairly dense: very sparse patterns sit near a
     # decomposable one and the alternating iteration slows to a crawl.
     m = random_sparse(rng, 12, 12, density=0.5, signed=False)
-    entries = m.entries + [(i, i, 1.0) for i in range(12)]
-    b = SparseMatrix(12, 12, entries)
+    diag = np.arange(12)
+    b = SparseMatrix.from_coo(
+        12,
+        12,
+        np.concatenate([m.rows, diag]),
+        np.concatenate([m.indices, diag]),
+        np.concatenate([m.data, np.ones(12)]),
+    )
     s, history = sinkhorn_knopp(b)
     assert history.converged
     assert _doubly_stochastic_dev(scale(b, s)) < 1e-9
@@ -108,9 +114,9 @@ def test_callback_sees_every_iteration(rng):
 
 def test_zero_row_and_column_raise():
     with pytest.raises(ZeroRowOrColumn, match="zero row"):
-        sinkhorn_knopp(SparseMatrix(2, 2, [(0, 0, 1.0), (0, 1, 1.0)]))
+        sinkhorn_knopp(SparseMatrix.from_dense([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ZeroRowOrColumn, match="zero column"):
-        sinkhorn_knopp(SparseMatrix(2, 2, [(0, 0, 1.0), (1, 0, 1.0)]))
+        sinkhorn_knopp(SparseMatrix.from_dense([[1.0, 0.0], [1.0, 0.0]]))
 
 
 def test_negative_entries_rejected():
@@ -118,7 +124,7 @@ def test_negative_entries_rejected():
     with pytest.raises(ValueError):
         sinkhorn_knopp(b)
     with pytest.raises(DimensionMismatch):
-        sinkhorn_knopp(SparseMatrix(2, 3, [(0, 0, 1.0), (1, 2, 1.0), (0, 1, 1.0)]))
+        sinkhorn_knopp(SparseMatrix.from_dense([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
 def test_support_without_total_support_does_not_converge():
@@ -126,7 +132,7 @@ def test_support_without_total_support_does_not_converge():
     # (0, 0) entry lies on none, so the alternating iteration cannot reach
     # a doubly stochastic limit. It must report failure yet still hand back
     # finite positive scaling factors.
-    b = SparseMatrix(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0)])
+    b = SparseMatrix.from_dense([[1.0, 1.0], [1.0, 0.0]])
     s, history = sinkhorn_knopp(b, ExactOptions(max_iters=200))
     assert not history.converged
     assert history.iterations == 200
@@ -178,7 +184,7 @@ def test_symmetric_variant_requires_symmetry():
 
 
 def test_sym_step_zero_row_raises():
-    b = SparseMatrix(2, 2, [(0, 0, 1.0)])
+    b = SparseMatrix.from_dense([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ZeroRowOrColumn):
         sym_sk_step(b, np.ones(2))
 
@@ -223,7 +229,7 @@ def test_jacobi_unit_diagonal(rng):
 
 
 def test_jacobi_zero_diagonal_entry_kept_at_unit_factor():
-    a = SparseMatrix(2, 2, [(0, 0, 4.0), (0, 1, 1.0), (1, 0, 1.0)])
+    a = SparseMatrix.from_dense([[4.0, 1.0], [1.0, 0.0]])
     scaling = jacobi_scale(a)
     scaled = scale(a, scaling)
     assert scaling.left[1] == 1.0
@@ -240,7 +246,7 @@ def test_jacobi_requires_symmetric_square():
     with pytest.raises(DimensionMismatch):
         jacobi_scale(SparseMatrix.from_dense(np.array([[1.0, 2.0], [3.0, 4.0]])))
     with pytest.raises(DimensionMismatch):
-        jacobi_scale(SparseMatrix(2, 3, [(0, 0, 1.0), (1, 1, 1.0), (1, 2, 1.0)]))
+        jacobi_scale(SparseMatrix.from_dense([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))
 
 
 def test_inf_norm_single_pass_bounds(rng):
@@ -254,6 +260,6 @@ def test_inf_norm_single_pass_bounds(rng):
 
 def test_inf_norm_zero_row_or_column_raises():
     with pytest.raises(ZeroRowOrColumn):
-        inf_norm_scale(SparseMatrix(2, 2, [(0, 0, 1.0), (0, 1, 1.0)]))
+        inf_norm_scale(SparseMatrix.from_dense([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ZeroRowOrColumn):
-        inf_norm_scale(SparseMatrix(2, 2, [(0, 0, 1.0), (1, 0, 1.0)]))
+        inf_norm_scale(SparseMatrix.from_dense([[1.0, 0.0], [1.0, 0.0]]))

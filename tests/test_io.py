@@ -41,7 +41,7 @@ def test_symmetric_round_trip(tmp_path, rng):
 
 
 def test_symmetric_file_stores_lower_triangle_once(tmp_path):
-    m = SparseMatrix(2, 2, [(0, 0, 1.0), (0, 1, 3.0), (1, 0, 3.0), (1, 1, 2.0)])
+    m = SparseMatrix.from_dense([[1.0, 3.0], [3.0, 2.0]])
     p = tmp_path / "s.mtx"
     write_matrix_market(m, p, symmetric=True)
     data_lines = [
@@ -52,14 +52,14 @@ def test_symmetric_file_stores_lower_triangle_once(tmp_path):
 
 
 def test_write_symmetric_rejects_nonsymmetric(tmp_path):
-    m = SparseMatrix(2, 2, [(0, 1, 1.0), (1, 0, 2.0)])
+    m = SparseMatrix.from_dense([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(MatrixMarketError):
         write_matrix_market(m, tmp_path / "bad.mtx", symmetric=True)
 
 
 def test_values_survive_round_trip_bitwise(tmp_path):
     vals = [0.1, 1.0 / 3.0, 1e-300, -7.25e100, math.pi]
-    m = SparseMatrix(5, 5, [(i, i, v) for i, v in enumerate(vals)])
+    m = SparseMatrix.from_dense(np.diag(vals))
     p = tmp_path / "v.mtx"
     write_matrix_market(m, p)
     back = read_matrix_market(p)
@@ -72,7 +72,7 @@ def test_duplicate_entries_are_summed(tmp_path):
         "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n1 1 2.5\n2 2 4.0\n",
     )
     m = read_matrix_market(p)
-    assert m.entries == [(0, 0, 3.5), (1, 1, 4.0)]
+    assert m == SparseMatrix.from_dense([[3.5, 0.0], [0.0, 4.0]])
 
 
 def test_comments_and_blank_lines_are_skipped(tmp_path):
@@ -82,7 +82,7 @@ def test_comments_and_blank_lines_are_skipped(tmp_path):
         "% a comment\n\n2 2 1\n% another\n\n1 2 -3.0\n",
     )
     m = read_matrix_market(p)
-    assert m.entries == [(0, 1, -3.0)]
+    assert m == SparseMatrix.from_dense([[0.0, -3.0], [0.0, 0.0]])
 
 
 def test_symmetric_read_mirrors_off_diagonals(tmp_path):
@@ -91,7 +91,7 @@ def test_symmetric_read_mirrors_off_diagonals(tmp_path):
         "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n1 1 5.0\n3 1 2.0\n",
     )
     m = read_matrix_market(p)
-    assert m.entries == [(0, 0, 5.0), (0, 2, 2.0), (2, 0, 2.0)]
+    assert m == SparseMatrix.from_dense([[5.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
 
 
 @pytest.mark.parametrize(

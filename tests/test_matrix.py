@@ -14,37 +14,51 @@ from equilibrate.matrix import (
 from conftest import random_sparse
 
 
-def test_triplet_construction_sorts_and_stores_csr():
-    m = SparseMatrix(2, 3, [(1, 2, 5.0), (0, 1, 2.0), (1, 0, 3.0)])
+def _assert_same_storage(a, b):
+    assert (a.nrows, a.ncols) == (b.nrows, b.ncols)
+    for name in ("rows", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert getattr(a, name).dtype == np.int64
+    assert a.data.dtype == b.data.dtype == np.float64
+    assert a.data.tobytes() == b.data.tobytes()
+
+
+def test_from_coo_sorts_and_stores_csr():
+    m = SparseMatrix.from_coo(2, 3, [1, 0, 1], [2, 1, 0], [5.0, 2.0, 3.0])
     assert m.nrows == 2 and m.ncols == 3
     assert m.nnz == 3
-    assert m.entries == [(0, 1, 2.0), (1, 0, 3.0), (1, 2, 5.0)]
+    assert m.rows.tolist() == [0, 1, 1]
+    assert m.indices.tolist() == [1, 0, 2]
+    assert m.data.tolist() == [2.0, 3.0, 5.0]
     assert m.indptr.tolist() == [0, 1, 3]
 
 
 def test_duplicates_are_summed():
-    m = SparseMatrix(2, 2, [(0, 0, 1.5), (0, 0, 2.5), (1, 1, 1.0)])
-    assert m.entries == [(0, 0, 4.0), (1, 1, 1.0)]
+    m = SparseMatrix.from_coo(2, 2, [0, 0, 1], [0, 0, 1], [1.5, 2.5, 1.0])
+    assert m == SparseMatrix.from_dense(np.diag([4.0, 1.0]))
 
 
 def test_exact_zero_sums_are_dropped():
-    m = SparseMatrix(2, 2, [(0, 0, 1.0), (0, 0, -1.0), (1, 0, 2.0)])
-    assert m.entries == [(1, 0, 2.0)]
+    m = SparseMatrix.from_coo(2, 2, [0, 0, 1], [0, 0, 0], [1.0, -1.0, 2.0])
+    assert m == SparseMatrix.from_dense([[0.0, 0.0], [2.0, 0.0]])
     assert m.nnz == 1
+    assert m.indptr.tolist() == [0, 0, 1]
 
 
 def test_explicit_zero_values_are_dropped():
-    m = SparseMatrix(3, 3, [(0, 0, 0.0), (1, 1, 4.0)])
+    m = SparseMatrix.from_coo(3, 3, [0, 1], [0, 1], [0.0, 4.0])
     assert m.nnz == 1
 
 
 def test_invalid_shapes_and_indices_raise():
     with pytest.raises(DimensionMismatch):
-        SparseMatrix(0, 3, [])
+        SparseMatrix.from_coo(0, 3, [], [], [])
     with pytest.raises(DimensionMismatch):
-        SparseMatrix(2, 2, [(2, 0, 1.0)])
+        SparseMatrix.from_dense(np.zeros((2, 0)))
     with pytest.raises(DimensionMismatch):
-        SparseMatrix(2, 2, [(0, -1, 1.0)])
+        SparseMatrix.from_coo(2, 2, [2], [0], [1.0])
+    with pytest.raises(DimensionMismatch):
+        SparseMatrix.from_coo(2, 2, [0], [-1], [1.0])
     with pytest.raises(DimensionMismatch):
         SparseMatrix.from_coo(2, 2, [0], [0, 1], [1.0, 2.0])
 
@@ -57,7 +71,7 @@ def test_from_dense_round_trip(rng):
 
 
 def test_storage_arrays_are_frozen():
-    m = SparseMatrix(2, 2, [(0, 0, 1.0), (1, 1, 2.0)])
+    m = SparseMatrix.from_dense(np.diag([1.0, 2.0]))
     for arr in (m.data, m.indices, m.indptr, m.rows):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -80,7 +94,7 @@ def test_matvec_and_rmatvec_match_dense(rng, shape):
 
 
 def test_matvec_shape_checks():
-    m = SparseMatrix(2, 3, [(0, 0, 1.0), (1, 2, 1.0)])
+    m = SparseMatrix.from_dense([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(DimensionMismatch):
         m.matvec(np.ones(2))
     with pytest.raises(DimensionMismatch):
@@ -88,10 +102,10 @@ def test_matvec_shape_checks():
 
 
 def test_matrix_with_empty_rows_multiplies_correctly():
-    m = SparseMatrix(3, 3, [(0, 1, 2.0)])
+    m = SparseMatrix.from_dense([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     np.testing.assert_array_equal(m.matvec(np.ones(3)), [2.0, 0.0, 0.0])
     np.testing.assert_array_equal(m.rmatvec(np.ones(3)), [0.0, 2.0, 0.0])
-    empty = SparseMatrix(3, 2, [])
+    empty = SparseMatrix.from_dense(np.zeros((3, 2)))
     for y in (empty.matvec(np.ones(2)), empty.rmatvec(np.ones(3))):
         assert y.dtype == np.float64 and not y.any()
 
@@ -109,14 +123,14 @@ def test_transpose_and_symmetry(rng):
 
 
 def test_diagonal_fills_missing_entries_with_zero():
-    m = SparseMatrix(3, 3, [(0, 0, 2.0), (2, 1, 5.0)])
+    m = SparseMatrix.from_dense([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
     np.testing.assert_array_equal(m.diagonal(), [2.0, 0.0, 0.0])
 
 
 def test_equality_is_structural():
-    a = SparseMatrix(2, 2, [(0, 0, 1.0), (1, 1, 2.0)])
-    b = SparseMatrix(2, 2, [(1, 1, 2.0), (0, 0, 1.0)])
-    c = SparseMatrix(2, 2, [(0, 0, 1.0), (1, 1, 3.0)])
+    a = SparseMatrix.from_dense(np.diag([1.0, 2.0]))
+    b = SparseMatrix.from_coo(2, 2, [1, 0], [1, 0], [2.0, 1.0])
+    c = SparseMatrix.from_dense(np.diag([1.0, 3.0]))
     assert a == b
     assert a != c
     assert a != "not a matrix"
@@ -130,12 +144,13 @@ def test_elementwise_square_matches_dense(rng):
 
 
 def test_elementwise_square_drops_underflowed_entries():
-    m = SparseMatrix(2, 2, [(0, 0, 1e-200), (0, 1, 1.0), (1, 0, 1.0)])
+    m = SparseMatrix.from_dense([[1e-200, 1.0], [1.0, 0.0]])
     sq = elementwise_square(m)
     # 1e-400 is below the smallest subnormal, so the entry must disappear
     # rather than linger as a stored zero.
     assert sq.nnz == 2
-    assert all(v != 0.0 for _, _, v in sq.entries)
+    assert sq.data.all()
+    _assert_same_storage(sq, SparseMatrix.from_coo(2, 2, m.rows, m.indices, m.data * m.data))
 
 
 def test_scale_matches_dense(rng):
@@ -155,10 +170,58 @@ def test_scale_dimension_check(rng):
 
 
 def test_scale_drops_underflowed_entries():
-    m = SparseMatrix(1, 2, [(0, 0, 1e-300), (0, 1, 1.0)])
-    s = DiagonalScaling(np.array([1e-100]), np.array([1.0, 1.0]))
+    m = SparseMatrix.from_dense([[1e-300, 1.0], [0.0, 2.0]])
+    s = DiagonalScaling(np.array([1e-100, 1.0]), np.array([1.0, 1.0]))
     scaled = scale(m, s)
-    assert scaled.nnz == 1
+    assert scaled.nnz == 2
+    assert scaled.indptr.tolist() == [0, 1, 2]
+    _assert_same_storage(scaled, SparseMatrix.from_coo(2, 2, [0, 1], [1, 1], [1e-100, 2.0]))
+
+
+def _sparse_with_gaps(rng, nrows, ncols, count):
+    """Random matrix whose entries avoid some rows and columns entirely."""
+    live_rows = rng.choice(nrows, size=max(1, nrows // 2), replace=False)
+    live_cols = rng.choice(ncols, size=max(1, ncols // 2), replace=False)
+    rows = rng.choice(live_rows, size=count)
+    cols = rng.choice(live_cols, size=count)
+    return SparseMatrix.from_coo(nrows, ncols, rows, cols, rng.standard_normal(count))
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (3, 8), (1, 1), (20, 20), (6, 11)])
+def test_transpose_matches_sorted_rebuild(rng, shape):
+    nrows, ncols = shape
+    for m in (
+        random_sparse(rng, nrows, ncols),
+        _sparse_with_gaps(rng, nrows, ncols, count=nrows * ncols // 3 + 1),
+        SparseMatrix.from_coo(nrows, ncols, [], [], []),
+    ):
+        reference = SparseMatrix.from_coo(ncols, nrows, m.indices, m.rows, m.data)
+        _assert_same_storage(m.transpose(), reference)
+        _assert_same_storage(m.transpose().transpose(), m)
+
+
+def test_from_dense_matches_sorted_rebuild(rng):
+    a = rng.standard_normal((6, 9))
+    a[rng.random(a.shape) < 0.4] = 0.0
+    a[0, 1], a[2, 3], a[4, 0] = -0.0, 5e-324, np.nan
+    a[5, 7], a[3, 8] = -2.5e-310, np.inf
+    for array in (a, np.asfortranarray(a), a.T, np.asfortranarray(a).T, a[::2, 1::3]):
+        rows, cols = np.nonzero(array)
+        reference = SparseMatrix.from_coo(*array.shape, rows, cols, array[rows, cols])
+        _assert_same_storage(SparseMatrix.from_dense(array), reference)
+    assert SparseMatrix.from_dense(a).nnz == np.count_nonzero(a)
+
+
+def test_scale_and_square_share_the_pattern_when_nothing_underflows(rng):
+    m = random_sparse(rng, 9, 7)
+    s = DiagonalScaling(rng.uniform(0.5, 2.0, 9), rng.uniform(0.5, 2.0, 7))
+    for derived in (scale(m, s), elementwise_square(m)):
+        assert derived.rows is m.rows
+        assert derived.indices is m.indices
+        assert derived.indptr is m.indptr
+        assert derived.data is not m.data and not derived.data.flags.writeable
+        reference = SparseMatrix.from_coo(9, 7, m.rows, m.indices, derived.data)
+        _assert_same_storage(derived, reference)
 
 
 def test_diagonal_scaling_validation():

@@ -78,7 +78,7 @@ def test_support_without_total_support_three_by_three():
 
 
 def test_no_support_when_rows_share_single_column():
-    m = SparseMatrix(3, 3, [(0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0), (0, 1, 1.0), (0, 2, 1.0)])
+    m = SparseMatrix.from_dense([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     assert not has_support(m)
     assert not has_total_support(m)
     report = structure_report(m)
@@ -87,7 +87,7 @@ def test_no_support_when_rows_share_single_column():
 
 def test_circulant_shift_is_irreducible_with_total_support():
     n = 5
-    m = SparseMatrix(n, n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+    m = SparseMatrix.from_dense(np.roll(np.eye(n), 1, axis=1))
     assert structure_report(m) == StructureReport(True, True, True)
 
 
@@ -99,11 +99,9 @@ def test_block_diagonal_reducible_with_total_support():
 
 def test_union_of_two_permutations_has_total_support(rng):
     n = 9
-    entries = []
-    for _ in range(2):
-        perm = rng.permutation(n)
-        entries.extend((i, int(perm[i]), 1.0) for i in range(n))
-    m = SparseMatrix(n, n, entries)
+    perms = [rng.permutation(n) for _ in range(2)]
+    rows = np.tile(np.arange(n), 2)
+    m = SparseMatrix.from_coo(n, n, rows, np.concatenate(perms), np.ones(2 * n))
     assert has_support(m)
     assert has_total_support(m)
 
@@ -114,7 +112,7 @@ def test_dense_positive_pattern(rng):
 
 
 def test_rectangular_matrix_rejected():
-    m = SparseMatrix(2, 3, [(0, 0, 1.0), (1, 1, 1.0), (1, 2, 1.0)])
+    m = SparseMatrix.from_dense([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
     for fn in (has_support, has_total_support, is_irreducible, structure_report):
         with pytest.raises(DimensionMismatch):
             fn(m)
@@ -138,10 +136,7 @@ def test_predicates_match_enumeration_on_all_small_patterns(n):
     for mask in masks:
         bits = [(int(mask) >> k) & 1 for k in range(n * n)]
         pattern = [bits[i * n : (i + 1) * n] for i in range(n)]
-        entries = [
-            (i, j, 1.0) for i in range(n) for j in range(n) if pattern[i][j]
-        ]
-        m = SparseMatrix(n, n, entries)
+        m = _from_pattern(pattern)
         assert has_support(m) == _support_by_enumeration(pattern), pattern
         assert has_total_support(m) == _total_support_by_enumeration(pattern), pattern
         assert is_irreducible(m) == _irreducible_by_enumeration(pattern), pattern
