@@ -6,6 +6,11 @@ per-iteration convergence series for plotting; ``gen`` materializes corpus
 specs as Matrix Market files; ``check`` prints a structure report. Exit
 status is 0 on full success, 1 when any per-matrix cell failed, 2 on
 configuration problems.
+
+``run`` computes the dense condition numbers on one background thread
+while the main thread scales the later cells; a cell's ``wall_time``
+covers its scaling only. It still makes one dense copy at a time, but the
+second thread costs a few MB of resident memory.
 """
 
 import argparse
@@ -13,6 +18,7 @@ import csv
 import dataclasses
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -150,23 +156,38 @@ def _failure_rows(name, algorithms, budgets, seeds, message):
     ]
 
 
-def _measure_cell(row, m, alg, cond_cap):
-    """Scale ``m`` with ``alg`` for ``row``'s cell and fill in its outcome fields.
+def _scale_cell(row, m, alg):
+    """Scale ``m`` with ``alg`` for ``row``'s cell; fill in wall_time and ratio_after.
 
-    wall_time covers the scaling only; the condition number after scaling
-    is measured when ``row`` has one from before.
+    wall_time covers the scaling only, whether or not it succeeds. Returns
+    the scaling, or None when the cell failed and its status says why.
     """
     start = time.perf_counter()
     try:
         scaling = alg.scaling(m, row.nmv, row.seed)
-        row.wall_time = time.perf_counter() - start
-        scaled = scale(m, scaling)
-        row.ratio_after = ratio(scaled)
-        if row.cond_before is not None:
-            row.cond_after = condition_number(scaled, cap=cond_cap)
     except CELL_ERRORS as exc:
-        row.wall_time = time.perf_counter() - start
         row.status = f"error: {exc}"
+        return None
+    finally:
+        row.wall_time = time.perf_counter() - start
+    try:
+        row.ratio_after = ratio(scale(m, scaling))
+    except CELL_ERRORS as exc:
+        row.status = f"error: {exc}"
+        return None
+    return scaling
+
+
+def _cond_after(before, m, scaling, cap):
+    """Condition number of ``m`` scaled by ``scaling``; runs on the worker.
+
+    The one worker takes tasks in order, so ``before`` (the input's
+    cond_before) is settled by now. When it failed the input's rows become
+    failure rows, and this cell is skipped as in a serial run.
+    """
+    if before.exception() is not None:
+        return None
+    return condition_number(scale(m, scaling), cap=cap)
 
 
 def run_experiment(cfg):
@@ -179,53 +200,81 @@ def run_experiment(cfg):
     wall_time included. Rows come back sorted by (matrix, algorithm, nmv,
     seed), and everything except wall_time is a pure function of the
     config.
+
+    The dense condition numbers are computed on one worker thread while
+    this thread goes on scaling the next cells and inputs; they are
+    collected after the last input. The worker rebuilds each scaled matrix
+    from the scaling, so at most one dense copy exists at a time. wall_time
+    covers the scaling only.
     """
     reports = []
-    for source in cfg.inputs:
-        name = _input_name(source)
-        try:
-            m = _load_input(source)
-        except (EquilibrateError, OSError) as exc:
-            reports.extend(
-                _failure_rows(name, cfg.algorithms, cfg.budgets, cfg.seeds_per_run, exc)
-            )
-            continue
-        symmetric = m.is_symmetric()
-        algorithms = [
-            a for a in cfg.algorithms if symmetric or not TABLE[a].symmetric_only
-        ]
-        try:
-            ratio_before = ratio(m)
-            cond_before = None
+    pending = []  # per input: name, algorithms, before, [(row, after)], copies
+    worker = ThreadPoolExecutor(max_workers=1)
+    try:
+        for source in cfg.inputs:
+            name = _input_name(source)
+            try:
+                m = _load_input(source)
+            except (EquilibrateError, OSError) as exc:
+                reports.extend(
+                    _failure_rows(name, cfg.algorithms, cfg.budgets, cfg.seeds_per_run, exc)
+                )
+                continue
+            symmetric = m.is_symmetric()
+            algorithms = [
+                a for a in cfg.algorithms if symmetric or not TABLE[a].symmetric_only
+            ]
+            try:
+                ratio_before = ratio(m)
+            except CELL_ERRORS as exc:
+                reports.extend(
+                    _failure_rows(name, algorithms, cfg.budgets, cfg.seeds_per_run, exc)
+                )
+                continue
+            before = None
             if m.nrows == m.ncols and max(m.nrows, m.ncols) <= cfg.cond_cap:
-                cond_before = condition_number(m, cap=cfg.cond_cap)
-        except CELL_ERRORS as exc:
-            reports.extend(
-                _failure_rows(name, algorithms, cfg.budgets, cfg.seeds_per_run, exc)
-            )
-            continue
-        computed = {}
-        for algorithm in algorithms:
-            alg = TABLE[algorithm]
-            for budget in cfg.budgets:
-                for seed in range(cfg.seeds_per_run):
-                    key = (
-                        algorithm,
-                        budget if alg.uses_budget else None,
-                        seed if alg.uses_seed else None,
-                    )
-                    if key not in computed:
-                        row = RunReport(
-                            name,
+                before = worker.submit(condition_number, m, cap=cfg.cond_cap)
+            cells, copies, computed = [], [], {}
+            for algorithm in algorithms:
+                alg = TABLE[algorithm]
+                for budget in cfg.budgets:
+                    for seed in range(cfg.seeds_per_run):
+                        key = (
                             algorithm,
-                            seed,
-                            budget,
-                            ratio_before=ratio_before,
-                            cond_before=cond_before,
+                            budget if alg.uses_budget else None,
+                            seed if alg.uses_seed else None,
                         )
-                        _measure_cell(row, m, alg, cfg.cond_cap)
-                        computed[key] = row
-                    reports.append(dataclasses.replace(computed[key], nmv=budget, seed=seed))
+                        if key not in computed:
+                            row = RunReport(name, algorithm, seed, budget, ratio_before=ratio_before)
+                            scaling = _scale_cell(row, m, alg)
+                            after = None
+                            if before is not None and scaling is not None:
+                                after = worker.submit(_cond_after, before, m, scaling, cfg.cond_cap)
+                            cells.append((row, after))
+                            computed[key] = row
+                        copies.append((computed[key], budget, seed))
+            pending.append((name, algorithms, before, cells, copies))
+
+        for name, algorithms, before, cells, copies in pending:
+            cond_before = None
+            if before is not None:
+                try:
+                    cond_before = before.result()
+                except CELL_ERRORS as exc:
+                    reports.extend(
+                        _failure_rows(name, algorithms, cfg.budgets, cfg.seeds_per_run, exc)
+                    )
+                    continue
+            for row, after in cells:
+                row.cond_before = cond_before
+                if after is not None:
+                    try:
+                        row.cond_after = after.result()
+                    except CELL_ERRORS as exc:
+                        row.status = f"error: {exc}"
+            reports.extend(dataclasses.replace(row, nmv=b, seed=s) for row, b, s in copies)
+    finally:
+        worker.shutdown(cancel_futures=True)
     reports.sort(key=lambda r: (r.matrix_name, r.algorithm, r.nmv, r.seed))
     return reports
 

@@ -1,5 +1,8 @@
 import csv
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -320,6 +323,130 @@ def test_run_experiment_tests_each_matrix_for_symmetry_once(tmp_path, monkeypatc
     assert all(r.status == "ok" for r in rows)
     assert len(transposed) == 1
     assert transposed[0].data.min() < 0.0  # the signed input, not its square
+
+
+# ------------------------------------ condition numbers on the worker
+
+
+def _without_wall_time(rows):
+    fields = [name for name in REPORT_FIELDS if name != "wall_time"]
+    return [tuple(getattr(r, name) for name in fields) for r in rows]
+
+
+def _failing_call(number, exc, calls):
+    """condition_number that raises ``exc`` on its ``number``-th call, counted in ``calls``."""
+
+    def patched(m, cap):
+        calls.append(m)
+        if len(calls) == number:
+            raise exc
+        return condition_number(m, cap=cap)
+
+    return patched
+
+
+def test_run_experiment_wall_time_excludes_a_failing_condition_number(monkeypatch):
+    calls = []
+
+    def slow_failing(m, cap):
+        calls.append(m)
+        if len(calls) == 1:  # cond_before
+            return condition_number(m, cap=cap)
+        time.sleep(0.5)
+        raise ValueError("too slow")
+
+    monkeypatch.setattr("equilibrate.cli.condition_number", slow_failing)
+    cfg = ExperimentConfig(
+        inputs=[_SYM_SPEC], algorithms=("jacobi",), budgets=(4,), seeds_per_run=1
+    ).validate()
+    [row] = run_experiment(cfg)
+    assert row.status == "error: too slow"
+    assert row.wall_time < 0.25
+    assert len(calls) == 2
+
+
+def test_run_experiment_failing_cond_after_fails_its_cell_only(monkeypatch):
+    # Calls arrive in submission order: cond_before, then jacobi's single
+    # cell, sk_exact at budget 4, and sk_exact at budget 8, whose two seeds
+    # copy one computed row.
+    calls = []
+    failure = np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr("equilibrate.cli.condition_number", _failing_call(1 + 3, failure, calls))
+    cfg = ExperimentConfig(
+        inputs=[_SYM_SPEC], algorithms=("jacobi", "sk_exact", "snbin"), budgets=(4, 8), seeds_per_run=2
+    ).validate()
+    threads = threading.active_count()
+    rows = run_experiment(cfg)
+    assert threading.active_count() == threads
+    assert len(rows) == 3 * 2 * 2
+    for r in rows:
+        assert r.cond_before is not None and r.ratio_after is not None
+        if (r.algorithm, r.nmv) == ("sk_exact", 8):
+            assert r.status == "error: SVD did not converge", r
+            assert r.cond_after is None
+        else:
+            assert r.status == "ok", r
+            assert r.cond_after is not None
+    assert len(calls) == 1 + 1 + 2 + 4
+
+
+def test_run_experiment_failing_cond_before_fails_its_input_only(monkeypatch):
+    calls = []
+    monkeypatch.setattr("equilibrate.cli.condition_number", _failing_call(1, ValueError("boom"), calls))
+    cfg = ExperimentConfig(
+        inputs=[_SYM_SPEC, _NONSYM_SPEC], algorithms=("ssbin", "snbin"), budgets=(4,), seeds_per_run=2
+    ).validate()
+    threads = threading.active_count()
+    rows = run_experiment(cfg)
+    assert threading.active_count() == threads
+    assert len(rows) == 2 * 2 + 1 * 2
+    for r in rows:
+        if r.matrix_name == spec_name(_SYM_SPEC):
+            assert r.status == "error: boom", r
+            assert r.ratio_before is None and r.wall_time is None
+        else:
+            assert r.status == "ok", r
+    # The failed input's cells are scaled but their condition numbers are
+    # skipped, as when nothing runs ahead of cond_before.
+    assert [c.nrows for c in calls] == [20, 25, 25, 25]
+
+
+def test_run_experiment_propagates_a_bug_on_the_worker(monkeypatch):
+    calls = []
+    monkeypatch.setattr("equilibrate.cli.condition_number", _failing_call(2, RuntimeError("bug"), calls))
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="bug"):
+        run_experiment(_memo_config())
+    assert threading.active_count() == threads
+
+
+def test_run_experiment_computes_condition_numbers_on_one_other_thread(monkeypatch):
+    idents = set()
+
+    def recording(m, cap):
+        idents.add(threading.get_ident())
+        return condition_number(m, cap=cap)
+
+    monkeypatch.setattr("equilibrate.cli.condition_number", recording)
+    run_experiment(_memo_config())
+    assert len(idents) == 1
+    assert threading.get_ident() not in idents
+
+
+def test_run_experiment_rows_survive_a_short_switch_interval():
+    cfg = _memo_config()
+    expected = _without_wall_time(run_experiment(cfg))
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: result.append(run_experiment(cfg)), daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert _without_wall_time(result[0]) == expected
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
