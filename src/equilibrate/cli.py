@@ -5,12 +5,12 @@ algorithm, budget, seed) cells and writes a report table; ``history`` emits
 per-iteration convergence series for plotting; ``gen`` materializes corpus
 specs as Matrix Market files; ``check`` prints a structure report. Exit
 status is 0 on full success, 1 when any per-matrix cell failed, 2 on
-configuration problems.
+configuration problems and on any other package error that stops the
+command.
 
-``run`` computes the dense condition numbers on one background thread
-while the main thread scales the later cells; a cell's ``wall_time``
-covers its scaling only. It still makes one dense copy at a time, but the
-second thread costs a few MB of resident memory.
+``run`` loads and measures each input on the calling thread and hands
+each cell's cond_after to one background thread, which costs a few MB of
+resident memory; a cell's ``wall_time`` covers its scaling only.
 """
 
 import argparse
@@ -30,7 +30,7 @@ from equilibrate.diagnostics import (
     convergence_history,
     ratio,
 )
-from equilibrate.errors import ConfigError, EquilibrateError, MatrixMarketError
+from equilibrate.errors import ConfigError, EquilibrateError
 from equilibrate.io import (
     RunReport,
     open_output,
@@ -147,12 +147,12 @@ def _load_input(source):
     return read_matrix_market(source)
 
 
-def _failure_rows(name, algorithms, budgets, seeds, message):
+def _failure_rows(name, algorithms, cfg, message):
     return [
         RunReport(name, alg, seed, budget, status=f"error: {message}")
         for alg in algorithms
-        for budget in budgets
-        for seed in range(seeds)
+        for budget in cfg.budgets
+        for seed in range(cfg.seeds_per_run)
     ]
 
 
@@ -160,7 +160,7 @@ def _scale_cell(row, m, alg):
     """Scale ``m`` with ``alg`` for ``row``'s cell; fill in wall_time and ratio_after.
 
     wall_time covers the scaling only, whether or not it succeeds. Returns
-    the scaling, or None when the cell failed and its status says why.
+    the scaled matrix, or None when the cell failed and its status says why.
     """
     start = time.perf_counter()
     try:
@@ -171,70 +171,51 @@ def _scale_cell(row, m, alg):
     finally:
         row.wall_time = time.perf_counter() - start
     try:
-        row.ratio_after = ratio(scale(m, scaling))
+        scaled = scale(m, scaling)
+        row.ratio_after = ratio(scaled)
     except CELL_ERRORS as exc:
         row.status = f"error: {exc}"
         return None
-    return scaling
-
-
-def _cond_after(before, m, scaling, cap):
-    """Condition number of ``m`` scaled by ``scaling``; runs on the worker.
-
-    The one worker takes tasks in order, so ``before`` (the input's
-    cond_before) is settled by now. When it failed the input's rows become
-    failure rows, and this cell is skipped as in a serial run.
-    """
-    if before.exception() is not None:
-        return None
-    return condition_number(scale(m, scaling), cap=cap)
+    return scaled
 
 
 def run_experiment(cfg):
     """Run every applicable (matrix, algorithm, budget, seed) cell.
 
-    Symmetric-only algorithms are skipped for nonsymmetric inputs. Cell
-    failures are recorded in the row's status instead of aborting the
-    batch. A cell whose algorithm ignores the seed or the budget repeats
-    the row computed first for the same (algorithm, parameters it reads),
-    wall_time included. Rows come back sorted by (matrix, algorithm, nmv,
-    seed), and everything except wall_time is a pure function of the
-    config.
+    Symmetric-only algorithms are skipped for nonsymmetric inputs. An input
+    that fails to load or to measure (ratio_before, cond_before) gets a
+    failure row for each of its cells, for every configured algorithm when
+    its symmetry is unknown. Cell failures are recorded in the row's status
+    instead of aborting the batch. A cell whose algorithm ignores the seed
+    or the budget repeats the row computed first for the same (algorithm,
+    parameters it reads), wall_time included. Rows come back sorted by
+    (matrix, algorithm, nmv, seed), and everything except wall_time is a
+    pure function of the config.
 
-    The dense condition numbers are computed on one worker thread while
-    this thread goes on scaling the next cells and inputs; they are
-    collected after the last input. The worker rebuilds each scaled matrix
-    from the scaling, so at most one dense copy exists at a time. wall_time
-    covers the scaling only.
+    cond_before is computed on this thread. Each cell's cond_after runs on
+    one worker thread, on the scaled matrix ratio_after was measured on,
+    while this thread scales the next cells. wall_time covers the scaling
+    only.
     """
     reports = []
-    pending = []  # per input: name, algorithms, before, [(row, after)], copies
+    cells, copies = [], []  # (row, cond_after future); (computed row, budget, seed)
     worker = ThreadPoolExecutor(max_workers=1)
     try:
         for source in cfg.inputs:
             name = _input_name(source)
+            algorithms = cfg.algorithms
             try:
                 m = _load_input(source)
-            except (EquilibrateError, OSError) as exc:
-                reports.extend(
-                    _failure_rows(name, cfg.algorithms, cfg.budgets, cfg.seeds_per_run, exc)
-                )
-                continue
-            symmetric = m.is_symmetric()
-            algorithms = [
-                a for a in cfg.algorithms if symmetric or not TABLE[a].symmetric_only
-            ]
-            try:
+                symmetric = m.is_symmetric()
+                algorithms = [a for a in algorithms if symmetric or not TABLE[a].symmetric_only]
                 ratio_before = ratio(m)
-            except CELL_ERRORS as exc:
-                reports.extend(
-                    _failure_rows(name, algorithms, cfg.budgets, cfg.seeds_per_run, exc)
-                )
+                cond_before = None
+                if m.nrows == m.ncols <= cfg.cond_cap:
+                    cond_before = condition_number(m, cap=cfg.cond_cap)
+            except (*CELL_ERRORS, OSError) as exc:
+                reports.extend(_failure_rows(name, algorithms, cfg, exc))
                 continue
-            before = None
-            if m.nrows == m.ncols and max(m.nrows, m.ncols) <= cfg.cond_cap:
-                before = worker.submit(condition_number, m, cap=cfg.cond_cap)
-            cells, copies, computed = [], [], {}
+            computed = {}
             for algorithm in algorithms:
                 alg = TABLE[algorithm]
                 for budget in cfg.budgets:
@@ -245,34 +226,22 @@ def run_experiment(cfg):
                             seed if alg.uses_seed else None,
                         )
                         if key not in computed:
-                            row = RunReport(name, algorithm, seed, budget, ratio_before=ratio_before)
-                            scaling = _scale_cell(row, m, alg)
-                            after = None
-                            if before is not None and scaling is not None:
-                                after = worker.submit(_cond_after, before, m, scaling, cfg.cond_cap)
-                            cells.append((row, after))
+                            row = RunReport(
+                                name, algorithm, seed, budget, ratio_before, cond_before=cond_before
+                            )
+                            scaled = _scale_cell(row, m, alg)
+                            if cond_before is not None and scaled is not None:
+                                after = worker.submit(condition_number, scaled, cap=cfg.cond_cap)
+                                cells.append((row, after))
                             computed[key] = row
                         copies.append((computed[key], budget, seed))
-            pending.append((name, algorithms, before, cells, copies))
 
-        for name, algorithms, before, cells, copies in pending:
-            cond_before = None
-            if before is not None:
-                try:
-                    cond_before = before.result()
-                except CELL_ERRORS as exc:
-                    reports.extend(
-                        _failure_rows(name, algorithms, cfg.budgets, cfg.seeds_per_run, exc)
-                    )
-                    continue
-            for row, after in cells:
-                row.cond_before = cond_before
-                if after is not None:
-                    try:
-                        row.cond_after = after.result()
-                    except CELL_ERRORS as exc:
-                        row.status = f"error: {exc}"
-            reports.extend(dataclasses.replace(row, nmv=b, seed=s) for row, b, s in copies)
+        for row, after in cells:
+            try:
+                row.cond_after = after.result()
+            except CELL_ERRORS as exc:
+                row.status = f"error: {exc}"
+        reports.extend(dataclasses.replace(row, nmv=b, seed=s) for row, b, s in copies)
     finally:
         worker.shutdown(cancel_futures=True)
     reports.sort(key=lambda r: (r.matrix_name, r.algorithm, r.nmv, r.seed))
@@ -403,7 +372,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (MatrixMarketError, OSError, ValueError) as exc:
+    except (EquilibrateError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

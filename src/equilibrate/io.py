@@ -33,10 +33,9 @@ def read_matrix_market(path):
     decimal floats; blank lines and whole-line `%` comments are skipped. A
     malformed entry, an index out of range, an upper-triangle entry in
     symmetric storage, or a nan or infinite value is rejected with its line
-    number.
+    number, and so is a byte outside ASCII.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        content = fh.read()
+    content = _read_ascii(path)
     lines = content.splitlines()
     if not lines:
         raise MatrixMarketError("empty file", line=1)
@@ -114,6 +113,22 @@ def read_matrix_market(path):
             np.concatenate([v, v[off]]),
         )
     return SparseMatrix.from_coo(nrows, ncols, i, j, v)
+
+
+def _read_ascii(path):
+    """The text of the file at ``path``; a byte outside ASCII is rejected with its line.
+
+    The bytes are dropped on return, so they do not stay resident beside the
+    text while the entries are parsed.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # Numbered as by splitlines(): the line the text up to the byte ends on.
+        line = len((data[: exc.start].decode("ascii") + " ").splitlines())
+        raise MatrixMarketError(f"non-ASCII byte 0x{data[exc.start]:02x}", line=line) from None
 
 
 def _raise_first_bad_entry(lines, start, nrows, ncols, symmetric, reason):

@@ -345,6 +345,18 @@ def _failing_call(number, exc, calls):
     return patched
 
 
+def _record_scale(monkeypatch):
+    """Patch the scale ``run_experiment`` calls; return the list of matrices it scales."""
+    scaled = []
+
+    def recording(m, scaling):
+        scaled.append(m)
+        return scale(m, scaling)
+
+    monkeypatch.setattr("equilibrate.cli.scale", recording)
+    return scaled
+
+
 def test_run_experiment_wall_time_excludes_a_failing_condition_number(monkeypatch):
     calls = []
 
@@ -366,9 +378,9 @@ def test_run_experiment_wall_time_excludes_a_failing_condition_number(monkeypatc
 
 
 def test_run_experiment_failing_cond_after_fails_its_cell_only(monkeypatch):
-    # Calls arrive in submission order: cond_before, then jacobi's single
-    # cell, sk_exact at budget 4, and sk_exact at budget 8, whose two seeds
-    # copy one computed row.
+    # Calls arrive in order: cond_before on this thread, then on the worker
+    # jacobi's single cell, sk_exact at budget 4, and sk_exact at budget 8,
+    # whose two seeds copy one computed row.
     calls = []
     failure = np.linalg.LinAlgError("SVD did not converge")
     monkeypatch.setattr("equilibrate.cli.condition_number", _failing_call(1 + 3, failure, calls))
@@ -393,6 +405,7 @@ def test_run_experiment_failing_cond_after_fails_its_cell_only(monkeypatch):
 def test_run_experiment_failing_cond_before_fails_its_input_only(monkeypatch):
     calls = []
     monkeypatch.setattr("equilibrate.cli.condition_number", _failing_call(1, ValueError("boom"), calls))
+    scaled = _record_scale(monkeypatch)
     cfg = ExperimentConfig(
         inputs=[_SYM_SPEC, _NONSYM_SPEC], algorithms=("ssbin", "snbin"), budgets=(4,), seeds_per_run=2
     ).validate()
@@ -406,9 +419,10 @@ def test_run_experiment_failing_cond_before_fails_its_input_only(monkeypatch):
             assert r.ratio_before is None and r.wall_time is None
         else:
             assert r.status == "ok", r
-    # The failed input's cells are scaled but their condition numbers are
-    # skipped, as when nothing runs ahead of cond_before.
+    # cond_before fails before the failed input's cells start, so they are
+    # never scaled and have no condition numbers.
     assert [c.nrows for c in calls] == [20, 25, 25, 25]
+    assert [m.nrows for m in scaled] == [25, 25]
 
 
 def test_run_experiment_propagates_a_bug_on_the_worker(monkeypatch):
@@ -420,17 +434,27 @@ def test_run_experiment_propagates_a_bug_on_the_worker(monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_run_experiment_computes_condition_numbers_on_one_other_thread(monkeypatch):
-    idents = set()
+def test_run_experiment_computes_cond_before_here_and_cond_after_on_one_other_thread(monkeypatch):
+    calls = []
 
     def recording(m, cap):
-        idents.add(threading.get_ident())
+        calls.append((threading.get_ident(), m))
         return condition_number(m, cap=cap)
 
     monkeypatch.setattr("equilibrate.cli.condition_number", recording)
-    run_experiment(_memo_config())
-    assert len(idents) == 1
-    assert threading.get_ident() not in idents
+    cfg = _memo_config()
+    run_experiment(cfg)
+    here = threading.get_ident()
+    assert [m for ident, m in calls if ident == here] == [generate(spec) for spec in cfg.inputs]
+    assert len({ident for ident, _ in calls if ident != here}) == 1
+
+
+def test_run_experiment_scales_each_computed_cell_once(monkeypatch):
+    scaled = _record_scale(monkeypatch)
+    rows = run_experiment(_memo_config())
+    assert all(r.status == "ok" for r in rows)
+    # The distinct cells of test_run_experiment_computes_each_distinct_cell_once.
+    assert [m.nrows for m in scaled] == [20] * 44 + [25] * 13
 
 
 def test_run_experiment_rows_survive_a_short_switch_interval():
@@ -510,6 +534,27 @@ def test_run_experiment_inf_entry_fails_its_rows_only(tmp_path):
 
 
 # ----------------------------------------------------------------- main
+
+
+def test_main_run_non_ascii_file_fails_its_rows_only(tmp_path, capsys):
+    p = tmp_path / "accent.mtx"
+    p.write_bytes(b"%%MatrixMarket matrix coordinate real general\n% caf\xc3\xa9\n2 2 1\n1 1 1.0\n")
+    out = tmp_path / "report.csv"
+    cfg_path = _write_config(
+        tmp_path / "exp.cfg",
+        f"matrix = {p}\ncorpus = family=nonsymmetric_general n=25 density=0.2 seed=22\n"
+        "algorithms = snbin, inf_norm\nbudgets = 4\nseeds_per_run = 2\n",
+    )
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+    assert "4 cells failed" in capsys.readouterr().err
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 2 * 2
+    for r in rows:
+        if r["matrix_name"] == "accent":
+            assert r["status"] == "error: line 2: non-ASCII byte 0xc3", r
+        else:
+            assert r["status"] == "ok", r
 
 
 def test_main_run_writes_csv(tmp_path, capsys):
@@ -636,6 +681,17 @@ def test_main_check_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _rect_mtx(tmp_path):
+    p = tmp_path / "rect.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real general\n2 3 3\n1 1 1.0\n2 2 2.0\n1 3 1.0\n")
+    return str(p)
+
+
+def test_main_check_nonsquare_is_an_error_exit(tmp_path, capsys):
+    assert main(["check", "--matrix", _rect_mtx(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: structure predicates require a square matrix\n"
+
+
 # -------------------------------------------------------------- history
 
 
@@ -691,6 +747,18 @@ def test_main_history_symmetric_alg_on_nonsymmetric_is_config_failure(tmp_path, 
     mtx = _gen_mtx(tmp_path)
     assert main(["history", "--matrix", mtx, "--alg", "ssbin", "--nmv", "4"]) == 2
     assert "symmetric" in capsys.readouterr().err
+
+
+def test_main_history_zero_row_is_an_error_exit(tmp_path, capsys):
+    p = tmp_path / "zr.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n1 2 1.0\n")
+    assert main(["history", "--matrix", str(p), "--alg", "snbin", "--seeds", "1"]) == 2
+    assert capsys.readouterr().err == "error: matrix has a zero row\n"
+
+
+def test_main_history_nonsquare_is_an_error_exit(tmp_path, capsys):
+    assert main(["history", "--matrix", _rect_mtx(tmp_path), "--alg", "snbin", "--seeds", "1"]) == 2
+    assert capsys.readouterr().err == "error: stochastic equilibration requires a square operator\n"
 
 
 def test_main_history_unknown_algorithm(tmp_path, capsys):

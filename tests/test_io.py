@@ -19,7 +19,7 @@ from conftest import random_sparse
 
 
 def _write(path, text):
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -115,6 +115,7 @@ def test_symmetric_read_mirrors_off_diagonals(tmp_path):
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 1.0\n", 3),
         ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 nan\n", 4),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n% c\n1 1 -inf\n2 2 1\n", 4),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n% caf\u00e9\n1 1 1.0\n", 3),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n% only\n1 1 2\n2 2 2\n", None),
     ],
 )

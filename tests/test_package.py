@@ -27,3 +27,20 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_module_entry_point_reports_a_package_error_without_traceback(tmp_path):
+    p = tmp_path / "rect.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real general\n2 3 3\n1 1 1.0\n2 2 2.0\n1 3 1.0\n")
+    src = str(Path(equilibrate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-m", "equilibrate", "check", "--matrix", str(p)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
