@@ -7,8 +7,16 @@ so squared products of the operator with scaled Gaussian probes estimate
 exactly the quantities the element-access iteration needs. Each sweep blends
 the running scaling estimate with the fresh one-sample estimate under a
 decaying weight, and square roots are deferred to the end.
+
+Probes do not depend on the iterate, so for large operators a background
+thread draws the next batch of probe vectors while the current products and
+blends run. Operator callables and ``on_iteration`` always run on the
+caller's thread, and the probe stream is consumed in the same order as
+without the thread, so equal seeds still give bitwise-equal results.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +56,13 @@ class ProbeSource:
 
     A thin wrapper over numpy's PCG64 generator. The consumption order is
     part of the contract: callers draw whole vectors in a fixed sequence, so
-    equal seeds reproduce runs bit for bit.
+    equal seeds reproduce runs bit for bit. A source passed to `ssbin`,
+    `snbin` or `estimate_bx` belongs to that call until it returns: the call
+    may draw its next probes on a background thread, so nothing else may
+    draw from the source meanwhile, neither another thread nor the
+    operator callables or ``on_iteration`` on the caller's own thread.
+    When the call returns or raises, the source is left exactly where
+    drawing in sequence would leave it.
     """
 
     def __init__(self, seed=0):
@@ -69,6 +83,70 @@ def _as_probes(probes):
     if isinstance(probes, ProbeSource):
         return probes
     return ProbeSource(probes)
+
+
+# Draws of fewer elements than this stay on the caller's thread, on the
+# sequential path: such probes are cheap, and `run` already keeps a second
+# thread busy with condition numbers at the sizes it can densify. Above it,
+# the worker draws about _BATCH_ELEMENTS elements per handoff; drawing one
+# vector per handoff made the caller wait on the worker, or on the
+# interpreter lock it holds, often enough to lose on a busy host. See
+# benchmarks/probe_draws.py and BENCH_probe_draws.json.
+_AHEAD_FLOOR = 1 << 14
+_BATCH_ELEMENTS = 1 << 16
+
+
+@contextmanager
+def _draws(probes, sizes):
+    """``draw()`` returns ``probes.normal(size)`` for each of ``sizes`` in turn.
+
+    When every size reaches `_AHEAD_FLOOR`, the vectors come in batches:
+    the caller draws the first, and a worker thread draws each later one
+    while the caller uses the one before. A batch is one ``probes.normal``
+    call split into vectors, which consumes the stream exactly as separate
+    calls would. On an early exit the pending batch is waited for and the
+    generator is put back where drawing in sequence would have left it.
+    """
+    if min(sizes, default=0) < _AHEAD_FLOOR:
+        yield map(probes.normal, sizes).__next__
+        return
+    per = max(1, _BATCH_ELEMENTS // max(sizes))
+    batches = iter([sizes[i : i + per] for i in range(0, len(sizes), per)])
+    bitgen = probes._rng.bit_generator
+    worker = ThreadPoolExecutor(max_workers=1)
+    pending = None  # generator state before the next batch, and its future
+    current = []  # vectors of the batch being handed out, last first
+    start = used = None  # generator state before that batch, elements handed out
+
+    def fetch(batch):
+        return np.split(probes.normal(sum(batch)), np.cumsum(batch[:-1]))
+
+    def draw():
+        nonlocal pending, current, start, used
+        if not current:
+            if pending is None:
+                start, current = bitgen.state, fetch(next(batches))
+            else:
+                start, current = pending[0], pending[1].result()
+            current.reverse()
+            used = 0
+            batch = next(batches, None)
+            pending = None if batch is None else (bitgen.state, worker.submit(fetch, batch))
+        vector = current.pop()
+        used += vector.size
+        return vector
+
+    try:
+        yield draw
+    finally:
+        if pending is not None:
+            pending[1].exception()  # waits for the draw, which must end first
+        if current:
+            bitgen.state = start
+            probes.normal(used)
+        elif pending is not None:
+            bitgen.state = pending[0]
+        worker.shutdown()
 
 
 def _require_square_op(a):
@@ -102,16 +180,15 @@ def snbin(a, nmv, probes=0, on_iteration=None):
     probes = _as_probes(probes)
     rho = np.ones(a.nrows)
     gamma = np.ones(a.ncols)
-    for k in range(1, nmv + 1):
-        omega = sched.omega(k)
-        u = probes.normal(a.ncols)
-        y = a.apply(u / np.sqrt(gamma))
-        rho = _blend(rho, _squared_or_raise(y, "row scaling"), omega)
-        v = probes.normal(a.nrows)
-        z = a.apply_transpose(v / np.sqrt(rho))
-        gamma = _blend(gamma, _squared_or_raise(z, "column scaling"), omega)
-        if on_iteration is not None:
-            on_iteration(k, DiagonalScaling(1.0 / np.sqrt(rho), 1.0 / np.sqrt(gamma)))
+    with _draws(probes, [a.ncols, a.nrows] * nmv) as draw:
+        for k in range(1, nmv + 1):
+            omega = sched.omega(k)
+            y = a.apply(draw() / np.sqrt(gamma))
+            rho = _blend(rho, _squared_or_raise(y, "row scaling"), omega)
+            z = a.apply_transpose(draw() / np.sqrt(rho))
+            gamma = _blend(gamma, _squared_or_raise(z, "column scaling"), omega)
+            if on_iteration is not None:
+                on_iteration(k, DiagonalScaling(1.0 / np.sqrt(rho), 1.0 / np.sqrt(gamma)))
     return DiagonalScaling(1.0 / np.sqrt(rho), 1.0 / np.sqrt(gamma))
 
 
@@ -135,17 +212,17 @@ def ssbin(a, nmv, probes=0, no_switch=False, on_iteration=None):
     d = np.ones(n)
     dp = d
     mirror_until = min(32, nmv // 2)
-    for k in range(1, nmv + 1):
-        u = probes.normal(n)
-        y = a.apply(u / np.sqrt(dp))
-        omega = sched.omega(k)
-        d = _blend(d, _squared_or_raise(y, "symmetric scaling"), omega)
-        if no_switch or k < mirror_until:
-            dp = d
-        else:
-            d, dp = dp, d
-        if on_iteration is not None:
-            on_iteration(k, (d * dp) ** -0.25)
+    with _draws(probes, [n] * nmv) as draw:
+        for k in range(1, nmv + 1):
+            y = a.apply(draw() / np.sqrt(dp))
+            omega = sched.omega(k)
+            d = _blend(d, _squared_or_raise(y, "symmetric scaling"), omega)
+            if no_switch or k < mirror_until:
+                dp = d
+            else:
+                d, dp = dp, d
+            if on_iteration is not None:
+                on_iteration(k, (d * dp) ** -0.25)
     return (d * dp) ** -0.25
 
 
@@ -166,7 +243,8 @@ def estimate_bx(a, x, nsamples, probes=0):
     probes = _as_probes(probes)
     sx = np.sqrt(x)
     acc = np.zeros(a.nrows)
-    for _ in range(nsamples):
-        y = a.apply(sx * probes.normal(a.ncols))
-        acc += y * y
+    with _draws(probes, [a.ncols] * nsamples) as draw:
+        for _ in range(nsamples):
+            y = a.apply(sx * draw())
+            acc += y * y
     return acc / nsamples

@@ -500,7 +500,6 @@ def test_main_run_records_overflowing_cells_and_finishes(tmp_path, capsys):
     assert status["jacobi"] == status["inf_norm"] == {"ok"}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_experiment_nan_entry_fails_its_rows_only(tmp_path):
     p = tmp_path / "nan.mtx"
     p.write_text(

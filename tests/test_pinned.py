@@ -1,0 +1,135 @@
+"""Seeded scalings pinned by digest.
+
+Equal seeds must give bitwise-equal scalings, across checkouts and not only
+within one process. These digests pin the `left`/`right` bytes of every
+`TABLE` entry on four small corpus matrices, and the outputs of `ssbin`,
+`snbin` and `estimate_bx` on one sparse matrix large enough that its probe
+vectors are drawn ahead of the products.
+
+What moves the digests: numpy's PCG64 streams (the corpus generator and the
+probe source) and float64 arithmetic, including the order of every sum.
+A change that means to move them updates the digests here and says what
+moved and why.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from equilibrate.corpus import CorpusSpec, generate
+from equilibrate.diagnostics import TABLE
+from equilibrate.matrix import SparseMatrix, from_sparse
+from equilibrate.stochastic import ProbeSource, estimate_bx, snbin, ssbin
+
+BUDGET = 64
+SEED = 7
+
+_SPECS = {
+    "spd": CorpusSpec("spd", n=60, density=0.08, seed=11, scale_spread=2.0),
+    "symmetric_indefinite": CorpusSpec(
+        "symmetric_indefinite", n=70, density=0.07, seed=12, scale_spread=2.0
+    ),
+    "nonsymmetric_general": CorpusSpec(
+        "nonsymmetric_general", n=90, density=0.05, seed=13, scale_spread=2.0
+    ),
+    "reducible_blocks": CorpusSpec(
+        "reducible_blocks", n=40, density=0.1, seed=14, scale_spread=2.0
+    ),
+}
+
+_PINNED_TABLE = {
+    "nonsymmetric_general": {
+        "snbin": "3056b0b6fa12c7dfed4a17db7c393e4d1580a12db59773893219eb04bb722dc2",
+        "sk_exact": "8cd77143ea0c4cda4d43f17f0b3f88b30b2da5db785afe39a1c1f9e920de592a",
+        "inf_norm": "0506acd37a5238ac40c1a2fbd95777c93597c1db49d3d99a19630b45a0f8a931",
+    },
+    "reducible_blocks": {
+        "snbin": "6c46fba2e005ca5eee91c26bc094dc113f8ae3502f145af1ea10f2539a43fecf",
+        "snbin_sym": "b6126720b8e68b14fc3a20025ad22a539bb63e351eacd824b76e85d60e7924d3",
+        "ssbin": "65a412b64a72fcea3218a660e95dbc74cc79e0e2a6c2444d6dfbd4c39d8af5b8",
+        "ssbin_noswitch": "c279a269e383cc5e095a562846b9053a27b025daabafd2da44c34c81464b7d37",
+        "sk_exact": "daf9ccfe472322e1ffaf92337de11942e9e20c0b95572ddb84bc1afc11466bad",
+        "sym_sk_exact": "52c8cca0de0e19ec6609b7f8f6faddf1d0f22408987928bc1db95a163e65a73a",
+        "jacobi": "694e9b60761f6f1b6ef1d9b0a44565af831a230183f19329804160d372c81ebd",
+        "inf_norm": "4060fa7e7ac3bdeed6e5efb56a4c1d8c4da113d2413d2d3c6c2e16067ec4f71a",
+    },
+    "spd": {
+        "snbin": "1333b8b442679142989c93ba43b1bea9ca4cfba903176b3b3458af0ca43daec0",
+        "snbin_sym": "05fccc72c78ca6ae473f7ddca4f4fbfb41f243771ede546a60f727b5f64754da",
+        "ssbin": "3b537af16643b4700784b384547c2022bc89d54c3427b5def1b0d521fe5475b6",
+        "ssbin_noswitch": "89dc22f69857a539f7b9dd2b095db238481cab3d31505b396641815e7bbfc37a",
+        "sk_exact": "a980103a78d93dacc198c489482f1c084c7bd4b504c2b5c0a2c6f0a627325373",
+        "sym_sk_exact": "84e658b2a1b4e1823ce8253e234a859d02ec49319dff6fb9a76b3f276c51ba8e",
+        "jacobi": "4cfc809b565f8a321fad5c187dc8558c59d9574714971f005ace9a8af6fcaa14",
+        "inf_norm": "e51abcb6a6af6083ee25de01d8a8973931ea9e264d74a48b6b86610557b89a28",
+    },
+    "symmetric_indefinite": {
+        "snbin": "f8bb873155dc80335c5369df932c660c2581575e96e9cb252eed7d70340ed3f5",
+        "snbin_sym": "0c88047d0f9381e55c76f567453514306287f36d8d9e4f9154353955da54eb6e",
+        "ssbin": "90e320332ac179a1b1a736004a40f9039d87c365b5b2ba4bf23fbc9c400fc1c8",
+        "ssbin_noswitch": "47db1d0b0346be4b272502454686999f05020dddf01d05188c8085ad094b7d5d",
+        "sk_exact": "2316927c9dfe916cf603162aa317d4486877d40df0c8e8a22431ea6f1256a4ea",
+        "sym_sk_exact": "36d6ba7b5f498aaa86c6202d4df1352d0fd67fe544fa5c9f581928e16069ebf5",
+        "jacobi": "9912bc72bf4a7679edb7b7028a462e44ba7f7ee3add3f3c9406cb2791dcb01e6",
+        "inf_norm": "982dae2ae6dbd6a5dd89234224be5d1d1f10364ac107333885e3bc591edc7b5f",
+    },
+}
+
+_PINNED_LARGE = {
+    "ssbin": "0aab16b92f06c26a2d1f126884af79c04419fde9744222b4a324ef9351bfe35d",
+    "snbin": "8c9716ab34927c2ec0b30733f4105e623ad4ffd3ae43f945cb068967bfe68bcf",
+    "estimate_bx": "a2781ad9def535149ff3354e4bcf4e45c97e0e33f3ebd549249b3b2a2151526e",
+}
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def _table_digests(family):
+    m = generate(_SPECS[family])
+    symmetric = m.is_symmetric()
+    out = {}
+    for name, alg in TABLE.items():
+        if alg.symmetric_only and not symmetric:
+            continue
+        s = alg.scaling(m, BUDGET, SEED)
+        out[name] = _digest(s.left, s.right)
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(_SPECS))
+def test_table_scalings_are_pinned(family):
+    assert _table_digests(family) == _PINNED_TABLE[family]
+
+
+def _large_matrix():
+    # n just above the size from which a worker thread draws the probes;
+    # about four entries per row plus a diagonal, made symmetric for ssbin.
+    n = 16500
+    rng = np.random.default_rng(2024)
+    rows = np.concatenate([np.arange(n), rng.integers(0, n, size=2 * n)])
+    cols = np.concatenate([np.arange(n), rng.integers(0, n, size=2 * n)])
+    vals = rng.standard_normal(rows.size) * 10.0 ** rng.uniform(-2, 2, size=rows.size)
+    return SparseMatrix.from_coo(
+        n, n, np.concatenate([rows, cols]), np.concatenate([cols, rows]), np.concatenate([vals, vals])
+    )
+
+
+def _large_digests():
+    m = _large_matrix()
+    op = from_sparse(m)
+    s = snbin(op, 8, ProbeSource(SEED))
+    return {
+        "ssbin": _digest(ssbin(op, 8, ProbeSource(SEED))),
+        "snbin": _digest(s.left, s.right),
+        "estimate_bx": _digest(estimate_bx(op, np.ones(m.ncols), 8, ProbeSource(SEED))),
+    }
+
+
+def test_drawn_ahead_scalings_are_pinned():
+    assert _large_digests() == _PINNED_LARGE

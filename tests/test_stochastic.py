@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from equilibrate import stochastic
 from equilibrate.corpus import CorpusSpec, generate
 from equilibrate.diagnostics import ratio
 from equilibrate.errors import DegenerateProbe, DimensionMismatch
@@ -196,6 +200,164 @@ def test_degenerate_probe_raises():
         ssbin(zero_op, 4)
     with pytest.raises(DegenerateProbe):
         snbin(zero_op, 4)
+
+
+# ------------------------------------------------------ draws run ahead
+#
+# From `_AHEAD_FLOOR` elements on, probes come in batches of about
+# `_BATCH_ELEMENTS` elements, each but the first drawn on a worker thread.
+# These tests pin what that must not change: the order in which the probe
+# stream is consumed, where the source is left after an early exit, which
+# thread runs the caller's code, and that no thread outlives a call.
+
+_BIG = stochastic._AHEAD_FLOOR + 1
+_PER_BATCH = stochastic._BATCH_ELEMENTS // _BIG
+
+
+def _diag_op(n, zero_from=None):
+    """Diagonal operator on n elements whose products turn to zeros from
+    the ``zero_from``-th call on, counting apply and apply_transpose
+    together, and which records the thread of every call."""
+    diag = np.linspace(1.0, 2.0, n)
+    threads = []
+
+    def product(v):
+        threads.append(threading.get_ident())
+        if zero_from is not None and len(threads) >= zero_from:
+            return np.zeros(n)
+        return diag * v
+
+    return LinearOperator(n, n, product, product), threads
+
+
+def _advanced(seed, draws, n):
+    source = ProbeSource(seed)
+    for _ in range(draws):
+        source.normal(n)
+    return source
+
+
+@pytest.mark.parametrize(
+    "zero_from", [1, 3, _PER_BATCH, _PER_BATCH + 1, 3 * _PER_BATCH + 2]
+)
+@pytest.mark.parametrize("method", ["ssbin", "snbin"])
+def test_degenerate_probe_leaves_source_where_sequential_draws_would(method, zero_from):
+    # Both methods draw one probe per product, just before it, so the
+    # sequential code has consumed exactly ``zero_from`` draws when the
+    # product that annihilates its probe raises: in the first batch, at its
+    # last vector, at the first vector of the next one, and inside the
+    # fourth.
+    op, _ = _diag_op(_BIG, zero_from)
+    source = ProbeSource(5)
+    with pytest.raises(DegenerateProbe):
+        getattr(stochastic, method)(op, 4 * _PER_BATCH, source)
+    np.testing.assert_array_equal(source.normal(_BIG), _advanced(5, zero_from, _BIG).normal(_BIG))
+
+
+def test_drawing_ahead_gives_the_sequential_results_and_source_state(monkeypatch):
+    op, _ = _diag_op(_BIG)
+    x = np.linspace(0.5, 1.5, _BIG)
+
+    def run():
+        sources = [ProbeSource(3) for _ in range(3)]
+        nmv = 4 * _PER_BATCH
+        s = snbin(op, nmv, sources[1])
+        out = [ssbin(op, nmv, sources[0]), s.left, s.right, estimate_bx(op, x, nmv, sources[2])]
+        return out, [source.normal(4) for source in sources]
+
+    ahead = run()
+    monkeypatch.setattr(stochastic, "_AHEAD_FLOOR", _BIG + 1)
+    inline = run()
+    for a, b in zip(ahead[0] + ahead[1], inline[0] + inline[1]):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_no_thread_outlives_a_call():
+    before = threading.active_count()
+    op, _ = _diag_op(_BIG)
+    nmv = 3 * _PER_BATCH
+    ssbin(op, nmv, ProbeSource(1))
+    snbin(op, nmv, ProbeSource(1))
+    estimate_bx(op, np.ones(_BIG), nmv, ProbeSource(1))
+    assert threading.active_count() == before
+
+    stop_at = _PER_BATCH + 2
+
+    def stop(k, scaling):
+        if k == stop_at:
+            raise KeyError("stop")
+
+    for method, per_sweep in ((ssbin, 1), (snbin, 2)):
+        source = ProbeSource(1)
+        with pytest.raises(KeyError):
+            method(op, nmv, source, on_iteration=stop)
+        assert threading.active_count() == before
+        # The sweeps up to stop_at ran to the end and have drawn their probes.
+        drawn = per_sweep * stop_at
+        np.testing.assert_array_equal(source.normal(3), _advanced(1, drawn, _BIG).normal(3))
+
+
+def test_concurrent_calls_with_a_short_switch_interval_match_the_inline_path(monkeypatch):
+    # Four callers on two cores, each with its own source and worker, while
+    # the interpreter switches threads as often as it can: every result
+    # must equal the one drawn in sequence.
+    op, _ = _diag_op(_BIG)
+    nmv = 3 * _PER_BATCH
+    monkeypatch.setattr(stochastic, "_AHEAD_FLOOR", _BIG + 1)
+    expected = [ssbin(op, nmv, ProbeSource(seed)) for seed in range(4)]
+    monkeypatch.undo()
+    got = [None] * 4
+
+    def call(seed):
+        got[seed] = ssbin(op, nmv, ProbeSource(seed))
+
+    callers = [threading.Thread(target=call, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_products_and_observers_run_on_the_callers_thread():
+    here = threading.get_ident()
+    op, threads = _diag_op(_BIG)
+    seen = []
+    nmv = 3 * _PER_BATCH
+    ssbin(op, nmv, ProbeSource(2), on_iteration=lambda k, x: seen.append(threading.get_ident()))
+    snbin(op, nmv, ProbeSource(2), on_iteration=lambda k, s: seen.append(threading.get_ident()))
+    estimate_bx(op, np.ones(_BIG), nmv, ProbeSource(2))
+    assert len(threads) == 4 * nmv and set(threads) == {here}
+    assert len(seen) == 2 * nmv and set(seen) == {here}
+
+
+def test_below_the_floor_no_thread_starts(monkeypatch):
+    started = []
+    original = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        original(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    # Enough sweeps for several batches, had the floor let them run ahead.
+    nmv = 4 * _PER_BATCH
+    n = stochastic._AHEAD_FLOOR - 1
+    op, _ = _diag_op(n)
+    ssbin(op, nmv, ProbeSource(1))
+    snbin(op, nmv, ProbeSource(1))
+    estimate_bx(op, np.ones(n), nmv, ProbeSource(1))
+    assert started == []
+    # Above the floor the same patch sees the one worker of a call.
+    ssbin(_diag_op(_BIG)[0], nmv, ProbeSource(1))
+    assert len(started) == 1
 
 
 # ---------------------------------------------------------------- quality
