@@ -1,0 +1,131 @@
+"""Product layer benchmark: operator products and slab builds at four sizes.
+
+Records, for n in {640, 3000, 8000, 20000} on a nonsymmetric corpus matrix
+with about ten entries per row:
+
+- the median seconds of one ``apply`` and one ``apply_transpose`` of
+  `from_sparse`, on whichever path the package picks (``matvec_s``,
+  ``rmatvec_s``);
+- when the package has slab layouts, both paths at every size: the scatter
+  (``scatter_*``, `SparseMatrix.matvec`/`rmatvec`) and the slabs
+  (``slab_*``), plus the build of the forward and of the transposed layout
+  (``build_s``, ``build_transposed_s``, the latter with the transpose).
+
+With slab layouts it also records, at n = 20000, both paths on the same
+matrix with one row lengthened to 50..800 entries (``long_rows``): each
+entry of the longest row adds a slab, which is what the width bound guards.
+
+The result is stored under ``--label`` in a JSON file (by default
+``BENCH_products.json`` at the repository root), next to the runs already
+there, with a stamp naming the machine and the checkout. Run it once per
+checkout to compare them, for example:
+
+    python3 benchmarks/products.py --label parent --src ../parent/src
+    python3 benchmarks/products.py --label change
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from probe_draws import ROOT, ROW_FILL, SIZES, _median_s, _stamp
+
+LONG_ROWS = (50, 100, 200, 400, 800)
+
+
+def _nonsymmetric(eq, n):
+    return eq.generate(
+        eq.CorpusSpec("nonsymmetric_general", n=n, density=ROW_FILL / n, seed=2, scale_spread=2.0)
+    )
+
+
+def _paths(kernels, m, x, y, repeats):
+    slabs = kernels.Slabs(m)
+    return {
+        "scatter_matvec_s": _median_s(lambda: kernels.matvec(m, x), repeats),
+        "scatter_rmatvec_s": _median_s(lambda: kernels.rmatvec(m, y), repeats),
+        "slab_matvec_s": _median_s(lambda: kernels.matvec(slabs, x), repeats),
+        "slab_rmatvec_s": _median_s(lambda: kernels.rmatvec(slabs, y), repeats),
+    }
+
+
+def measure(eq, repeats):
+    from equilibrate import _kernels
+
+    slabs = hasattr(_kernels, "Slabs")
+    out = {
+        "repeats": repeats,
+        "slab_floor": getattr(_kernels, "SLAB_FLOOR", None),
+        "slab_min_width": getattr(_kernels, "SLAB_MIN_WIDTH", None),
+        "sizes": [],
+    }
+    rng = np.random.default_rng(6)
+    for n in SIZES:
+        m = _nonsymmetric(eq, n)
+        op = eq.from_sparse(m)
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        op.apply_transpose(y)  # a lazily built layout is not timed here
+        row = {
+            "n": n,
+            "nnz": m.nnz,
+            "matvec_s": _median_s(lambda: op.apply(x), repeats),
+            "rmatvec_s": _median_s(lambda: op.apply_transpose(y), repeats),
+        }
+        if slabs:
+            row.update(_paths(_kernels, m, x, y, repeats))
+            # The layout of m.T is the forward layout of m.transpose().
+            row["build_s"] = _median_s(lambda: _kernels.Slabs(m), repeats // 5)
+            row["build_transposed_s"] = _median_s(
+                lambda: _kernels.Slabs(m.transpose()), repeats // 5
+            )
+        out["sizes"].append(row)
+    if slabs:
+        out["long_rows"] = []
+        m = _nonsymmetric(eq, SIZES[-1])
+        for length in LONG_ROWS:
+            cols = np.concatenate([m.indices, rng.choice(m.ncols, length, replace=False)])
+            rows = np.concatenate([m.rows, np.zeros(length, dtype=np.int64)])
+            vals = np.concatenate([m.data, np.ones(length)])
+            longer = eq.SparseMatrix.from_coo(m.nrows, m.ncols, rows, cols, vals)
+            x = rng.standard_normal(m.ncols)
+            out["long_rows"].append(
+                {
+                    "longest_row": int(np.diff(longer.indptr).max()),
+                    "nnz": longer.nnz,
+                    "slabs_chosen": _kernels.wants_slabs(longer),
+                    **_paths(_kernels, longer, x, x, repeats),
+                }
+            )
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="name of this run in the output file")
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="package source to measure")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_products.json")
+    parser.add_argument("--repeats", type=int, default=51)
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(args.src.resolve()))
+    import equilibrate as eq
+
+    run = {"stamp": _stamp(args.src), **measure(eq, args.repeats)}
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data.setdefault("benchmark", "products")
+    data.setdefault("runs", {})[args.label] = run
+    args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    for row in run["sizes"] + run.get("long_rows", []):
+        print(
+            " ".join(
+                f"{k}={v * 1e6:.0f}us" if k.endswith("_s") else f"{k}={v}"
+                for k, v in sorted(row.items())
+            )
+        )
+
+
+if __name__ == "__main__":
+    main()

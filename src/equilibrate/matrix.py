@@ -214,8 +214,26 @@ class LinearOperator:
 
 
 def from_sparse(m):
-    """Product-only operator backed by an explicit sparse matrix."""
-    return LinearOperator(m.nrows, m.ncols, m.matvec, m.rmatvec)
+    """Product-only operator backed by an explicit sparse matrix.
+
+    Over a small matrix the operator multiplies through `SparseMatrix.matvec`
+    and `rmatvec`. Over a large one (`_kernels.wants_slabs`: at least
+    `_kernels.SLAB_FLOOR` stored entries and no row or column so long that
+    slabs get narrow) it builds a slab layout of m here, and one of m.T on
+    its first transpose product unless m is already known to be symmetric.
+    Each layout is a reordered copy of the entries, about 16 bytes per
+    stored entry, kept for the operator's lifetime. Both paths give the
+    same bits.
+    """
+    if not _kernels.wants_slabs(m):
+        return LinearOperator(m.nrows, m.ncols, m.matvec, m.rmatvec)
+    slabs = _kernels.Slabs(m)
+    return LinearOperator(
+        m.nrows,
+        m.ncols,
+        lambda x: _kernels.matvec(slabs, x),
+        lambda x: _kernels.rmatvec(slabs, x),
+    )
 
 
 def elementwise_square(m):

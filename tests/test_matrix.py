@@ -1,6 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from equilibrate import _kernels
+from equilibrate.corpus import CorpusSpec, generate
 from equilibrate.errors import DimensionMismatch
 from equilibrate.matrix import (
     DiagonalScaling,
@@ -258,3 +263,164 @@ def test_linear_operator_from_callables():
     op = LinearOperator(2, 2, lambda v: 2.0 * v, lambda v: 0.5 * v)
     np.testing.assert_array_equal(op.apply(np.array([1.0, 3.0])), [2.0, 6.0])
     np.testing.assert_array_equal(op.apply_transpose(np.array([2.0, 4.0])), [1.0, 2.0])
+
+
+# Slab products. Operators over matrices above `_kernels.SLAB_FLOOR` multiply
+# through a jagged-diagonal layout; their products must equal the scatter
+# products of `SparseMatrix.matvec`/`rmatvec` bit for bit, compared as int64
+# views so that -0.0 and +0.0 differ.
+
+
+@pytest.fixture
+def slab_builds(monkeypatch):
+    """Every `_kernels.Slabs` that `from_sparse` builds while the test runs."""
+    built = []
+
+    class Recorded(_kernels.Slabs):
+        __slots__ = ()
+
+        def __init__(self, m):
+            super().__init__(m)
+            built.append(self)
+
+    monkeypatch.setattr(_kernels, "Slabs", Recorded)
+    return built
+
+
+def _bits(y):
+    return np.ascontiguousarray(y, dtype=np.float64).view(np.int64)
+
+
+def _assert_slab_products_are_scatter_products(m, rng, slab_builds, xs=()):
+    assert _kernels.wants_slabs(m)
+    op = from_sparse(m)
+    assert len(slab_builds) == 1
+    xs = [*xs, rng.standard_normal(m.ncols), rng.standard_normal(m.ncols)]
+    ys = [rng.standard_normal(m.nrows), rng.standard_normal(m.nrows)]
+    for x in xs:
+        np.testing.assert_array_equal(_bits(op.apply(x)), _bits(m.matvec(x)))
+    for y in ys:
+        np.testing.assert_array_equal(_bits(op.apply_transpose(y)), _bits(m.rmatvec(y)))
+
+
+@pytest.mark.parametrize(
+    "family, density",
+    [
+        ("spd", 0.003),
+        ("symmetric_indefinite", 0.003),
+        ("nonsymmetric_general", 0.003),
+        ("reducible_blocks", 0.006),
+        ("permutation_plus_noise", 0.003),
+    ],
+)
+def test_slab_products_match_on_every_corpus_family(rng, slab_builds, family, density):
+    m = generate(CorpusSpec(family, n=3500, density=density, seed=21, scale_spread=2.0))
+    _assert_slab_products_are_scatter_products(m, rng, slab_builds)
+
+
+def test_slab_products_match_on_a_rectangular_operator(rng, slab_builds):
+    m = random_sparse(rng, 2500, 4000, density=0.004)
+    assert m.nrows != m.ncols and m.nnz >= _kernels.SLAB_FLOOR
+    _assert_slab_products_are_scatter_products(m, rng, slab_builds)
+
+
+def test_slab_products_match_with_empty_rows_and_columns(rng, slab_builds):
+    n = 12000
+    rows = 2 * rng.integers(0, n // 2, size=4 * n)  # odd rows stay empty
+    cols = 3 * rng.integers(0, n // 3, size=4 * n)  # so do two columns in three
+    m = SparseMatrix.from_coo(n, n, rows, cols, rng.standard_normal(rows.size))
+    assert not np.diff(m.indptr)[1::2].any()
+    _assert_slab_products_are_scatter_products(m, rng, slab_builds)
+
+
+def test_slab_products_keep_the_sign_of_zero_sums(rng, slab_builds):
+    # Row 0 sums 0.5 + (-0.5) to +0.0; row 1's only term is -2.0 * 0.0 =
+    # -0.0, which a sum from +0.0 turns into +0.0. The rest pads the matrix
+    # above the floor.
+    n = 12000
+    rows = np.concatenate([[0, 0, 1], 2 + rng.integers(0, n - 2, size=3 * n)])
+    cols = np.concatenate([[5, 6, 7], rng.integers(0, n, size=3 * n)])
+    vals = np.concatenate([[1.0, -1.0, -2.0], rng.standard_normal(3 * n)])
+    m = SparseMatrix.from_coo(n, n, rows, cols, vals)
+    x = rng.standard_normal(n)
+    x[5] = x[6] = 0.5
+    x[7] = 0.0
+    assert _bits(m.matvec(x))[:2].tolist() == [0, 0]
+    _assert_slab_products_are_scatter_products(m, rng, slab_builds, xs=[x])
+
+
+def test_slab_products_match_with_one_long_row(rng, slab_builds):
+    n = 40000
+    rows = np.concatenate([rng.integers(0, n, size=3 * n), np.full(100, 17)])
+    cols = np.concatenate([rng.integers(0, n, size=3 * n), rng.choice(n, 100, replace=False)])
+    m = SparseMatrix.from_coo(n, n, rows, cols, rng.standard_normal(rows.size))
+    _assert_slab_products_are_scatter_products(m, rng, slab_builds)
+    assert len(slab_builds[0].forward._slabs) == np.diff(m.indptr).max() >= 100
+    # Ten times longer, the row would cost more in slab loops than the
+    # scatter costs, so the operator keeps the scatter.
+    rows = np.concatenate([rows, np.full(1000, 17)])
+    cols = np.concatenate([cols, np.arange(1000)])
+    longer = SparseMatrix.from_coo(n, n, rows, cols, np.ones(rows.size))
+    assert longer.nnz >= _kernels.SLAB_FLOOR and not _kernels.wants_slabs(longer)
+    # So would a long column, for the transposed products.
+    assert not _kernels.wants_slabs(longer.transpose())
+
+
+def test_slab_layouts_are_read_only_and_shared_only_when_symmetric(rng):
+    sym = generate(CorpusSpec("symmetric_indefinite", n=3500, density=0.003, seed=3))
+    nonsym = generate(CorpusSpec("nonsymmetric_general", n=3500, density=0.003, seed=4))
+    assert sym.is_symmetric() and not nonsym.is_symmetric()
+    for m in (sym, nonsym):
+        slabs = _kernels.Slabs(m)
+        for layout in (slabs.forward, slabs.transposed):
+            for a in (layout.index, layout.value, layout.inverse):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 1
+        assert (slabs.transposed is slabs.forward) == (m is sym)
+
+
+def test_slab_products_start_no_thread_and_serve_concurrent_callers(rng, monkeypatch):
+    m = random_sparse(rng, 6000, 6000, density=0.001)
+    xs = rng.standard_normal((8, m.ncols))
+    expected = [(_bits(m.matvec(x)), _bits(m.rmatvec(x))) for x in xs]
+    started, transposes = [], []
+    original_start, original_transpose = threading.Thread.start, SparseMatrix.transpose
+
+    def start(self):
+        started.append(self)
+        original_start(self)
+
+    def transpose(self):
+        transposes.append(self)
+        return original_transpose(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(SparseMatrix, "transpose", transpose)
+    op = from_sparse(m)
+    op.apply(xs[0])
+    assert started == []
+
+    # More callers than cores race to build the transposed layout on their
+    # first call; it is built once, and every result is the scatter's.
+    results = {}
+
+    def call(name):
+        results[name] = [(_bits(op.apply(x)), _bits(op.apply_transpose(x))) for x in xs]
+
+    callers = [threading.Thread(target=call, args=(name,)) for name in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(started) == len(callers) and transposes == [m]
+    for name in range(4):
+        for (y, z), (ey, ez) in zip(results[name], expected):
+            np.testing.assert_array_equal(y, ey)
+            np.testing.assert_array_equal(z, ez)

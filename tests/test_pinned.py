@@ -1,24 +1,37 @@
-"""Seeded scalings pinned by digest.
+"""Seeded scalings, reports and histories pinned by digest.
 
-Equal seeds must give bitwise-equal scalings, across checkouts and not only
-within one process. These digests pin the `left`/`right` bytes of every
-`TABLE` entry on four small corpus matrices, and the outputs of `ssbin`,
-`snbin` and `estimate_bx` on one sparse matrix large enough that its probe
-vectors are drawn ahead of the products.
+Equal seeds must give bitwise-equal scalings, and reports byte-identical
+apart from timing, across checkouts and not only within one process. These
+digests pin:
+
+- the `left`/`right` bytes of every `TABLE` entry on four small corpus
+  matrices;
+- the CSV report of `run_experiment` on the same four matrices, with
+  `wall_time` zeroed;
+- the `history` CSVs of `ssbin` (with its two comparison columns) and
+  `snbin`;
+- the outputs of `ssbin`, `snbin` and `estimate_bx` on one symmetric
+  sparse matrix large enough that its probe vectors are drawn ahead of the
+  products and its products run on the slab layout, and of `snbin` on a
+  nonsymmetric one, whose transpose products need their own layout.
 
 What moves the digests: numpy's PCG64 streams (the corpus generator and the
-probe source) and float64 arithmetic, including the order of every sum.
-A change that means to move them updates the digests here and says what
-moved and why.
+probe source), float64 arithmetic, including the order of every sum, and
+LAPACK for the `cond_*` report columns. A change that means to move them
+updates the digests here and says what moved and why.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from equilibrate import _kernels
+from equilibrate.cli import ExperimentConfig, main, run_experiment
 from equilibrate.corpus import CorpusSpec, generate
 from equilibrate.diagnostics import TABLE
+from equilibrate.io import write_matrix_market, write_report
 from equilibrate.matrix import SparseMatrix, from_sparse
 from equilibrate.stochastic import ProbeSource, estimate_bx, snbin, ssbin
 
@@ -82,6 +95,15 @@ _PINNED_LARGE = {
     "estimate_bx": "a2781ad9def535149ff3354e4bcf4e45c97e0e33f3ebd549249b3b2a2151526e",
 }
 
+_PINNED_LARGE_NONSYMMETRIC = "3a870926868ce0c981fe205bb93723613d63d6283cf9545cb1021d88deb8c3a9"
+
+_PINNED_REPORT = "762f83d237092ce85b5222f4e18795608a925e7c9c1d6d93a7ceb347102330ba"
+
+_PINNED_HISTORY = {
+    "ssbin": "30b95f614cd447a2f2c8ba2546dd32c94d24bdc29cf9869d3355714ffda0eb76",
+    "snbin": "61256f781624ae6769b4057148f5b436ee473d89e5108b0c0d206d0575dbfde7",
+}
+
 
 def _digest(*arrays):
     h = hashlib.sha256()
@@ -122,6 +144,7 @@ def _large_matrix():
 
 def _large_digests():
     m = _large_matrix()
+    assert _kernels.wants_slabs(m)
     op = from_sparse(m)
     s = snbin(op, 8, ProbeSource(SEED))
     return {
@@ -133,3 +156,47 @@ def _large_digests():
 
 def test_drawn_ahead_scalings_are_pinned():
     assert _large_digests() == _PINNED_LARGE
+
+
+def _large_nonsymmetric_matrix():
+    # About five entries per row plus a diagonal, all off-diagonal ones in
+    # the first half of the columns, so that A and A.T have different slab
+    # layouts.
+    n = 9000
+    rng = np.random.default_rng(2025)
+    rows = np.concatenate([np.arange(n), rng.integers(0, n, size=5 * n)])
+    cols = np.concatenate([np.arange(n), rng.integers(0, n // 2, size=5 * n)])
+    vals = rng.standard_normal(rows.size) * 10.0 ** rng.uniform(-2, 2, size=rows.size)
+    return SparseMatrix.from_coo(n, n, rows, cols, vals)
+
+
+def test_transposed_products_are_pinned():
+    m = _large_nonsymmetric_matrix()
+    assert _kernels.wants_slabs(m) and not m.is_symmetric()
+    s = snbin(from_sparse(m), 8, ProbeSource(SEED))
+    assert _digest(s.left, s.right) == _PINNED_LARGE_NONSYMMETRIC
+
+
+def test_run_reports_are_pinned(tmp_path):
+    cfg = ExperimentConfig(
+        inputs=[_SPECS[family] for family in sorted(_SPECS)],
+        algorithms=tuple(TABLE),
+        budgets=(16, BUDGET),
+        seeds_per_run=2,
+    ).validate()
+    rows = [dataclasses.replace(r, wall_time=0.0) for r in run_experiment(cfg)]
+    path = tmp_path / "report.csv"
+    write_report(rows, "csv", path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_REPORT
+
+
+@pytest.mark.parametrize(
+    "algorithm, family", [("ssbin", "spd"), ("snbin", "nonsymmetric_general")]
+)
+def test_histories_are_pinned(tmp_path, algorithm, family):
+    m = generate(_SPECS[family])
+    mtx, out = tmp_path / "m.mtx", tmp_path / "history.csv"
+    write_matrix_market(m, mtx, symmetric=m.is_symmetric())
+    argv = ["history", "--matrix", str(mtx), "--alg", algorithm, "--nmv", str(BUDGET)]
+    assert main([*argv, "--seeds", "2", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_HISTORY[algorithm]
