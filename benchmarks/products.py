@@ -6,6 +6,12 @@ with about ten entries per row:
 - the median seconds of one ``apply`` and one ``apply_transpose`` of
   `from_sparse`, on whichever path the package picks (``matvec_s``,
   ``rmatvec_s``);
+- the median seconds of a `from_sparse` call with its first ``apply``, and
+  of its first ``apply_transpose`` after it, on a matrix that no operator
+  has multiplied yet (``first_apply_s``, ``first_apply_transpose_s``) and
+  then again through a second operator on the same matrix
+  (``later_apply_s``, ``later_apply_transpose_s``): where the package keeps
+  its layouts with the matrix, only the first pays for building them;
 - when the package has slab layouts, both paths at every size: the scatter
   (``scatter_*``, `SparseMatrix.matvec`/`rmatvec`) and the slabs
   (``slab_*``), plus the build of the forward and of the transposed layout
@@ -26,7 +32,9 @@ checkout to compare them, for example:
 
 import argparse
 import json
+import statistics
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +60,23 @@ def _paths(kernels, m, x, y, repeats):
     }
 
 
+def _first_and_later(eq, m, x, y, repeats):
+    times = {}
+    identity = eq.DiagonalScaling.identity(m.nrows, m.ncols)
+    for _ in range(repeats):
+        fresh = eq.scale(m, identity)  # the same entries, and no layouts yet
+        for when in ("first", "later"):
+            start = time.perf_counter()
+            op = eq.from_sparse(fresh)
+            op.apply(x)
+            middle = time.perf_counter()
+            op.apply_transpose(y)
+            end = time.perf_counter()
+            times.setdefault(f"{when}_apply_s", []).append(middle - start)
+            times.setdefault(f"{when}_apply_transpose_s", []).append(end - middle)
+    return {k: statistics.median(v) for k, v in times.items()}
+
+
 def measure(eq, repeats):
     from equilibrate import _kernels
 
@@ -73,6 +98,7 @@ def measure(eq, repeats):
             "nnz": m.nnz,
             "matvec_s": _median_s(lambda: op.apply(x), repeats),
             "rmatvec_s": _median_s(lambda: op.apply_transpose(y), repeats),
+            **_first_and_later(eq, m, x, y, repeats // 5),
         }
         if slabs:
             row.update(_paths(_kernels, m, x, y, repeats))

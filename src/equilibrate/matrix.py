@@ -27,11 +27,12 @@ class SparseMatrix:
     float64 values, shared read-only; no stored value is zero. `from_coo`
     accepts entries in any order and sums duplicate (row, col) pairs
     (Matrix Market convention); derived matrices are stored without
-    re-sorting. The answer of `is_symmetric` is memoized, since nothing can
-    change it.
+    re-sorting. Since nothing can change a matrix, the answer of
+    `is_symmetric` is memoized, and so are the slab layouts that `from_sparse`
+    builds for large matrices (``_slabs``).
     """
 
-    __slots__ = ("nrows", "ncols", "indptr", "indices", "data", "rows", "_symmetric")
+    __slots__ = ("nrows", "ncols", "indptr", "indices", "data", "rows", "_symmetric", "_slabs")
 
     @classmethod
     def from_coo(cls, nrows, ncols, rows, cols, vals):
@@ -83,6 +84,7 @@ class SparseMatrix:
         self.data = _freeze(np.ascontiguousarray(vals, dtype=np.float64))
         self.indptr = _freeze(indptr)
         self._symmetric = symmetric
+        self._slabs = None
         return self
 
     @property
@@ -219,15 +221,16 @@ def from_sparse(m):
     Over a small matrix the operator multiplies through `SparseMatrix.matvec`
     and `rmatvec`. Over a large one (`_kernels.wants_slabs`: at least
     `_kernels.SLAB_FLOOR` stored entries and no row or column so long that
-    slabs get narrow) it builds a slab layout of m here, and one of m.T on
-    its first transpose product unless m is already known to be symmetric.
-    Each layout is a reordered copy of the entries, about 16 bytes per
-    stored entry, kept for the operator's lifetime. Both paths give the
-    same bits.
+    slabs get narrow) it multiplies through slab layouts, which are kept
+    with m: the first operator over m builds the layout of m, and the first
+    transpose product the one of m.T, unless m is already known to be
+    symmetric. Later operators over m reuse them. Each layout is a
+    reordered copy of the entries, about 16 bytes per stored entry, kept as
+    long as m. Both paths give the same bits.
     """
     if not _kernels.wants_slabs(m):
         return LinearOperator(m.nrows, m.ncols, m.matvec, m.rmatvec)
-    slabs = _kernels.Slabs(m)
+    slabs = _kernels.slabs(m)
     return LinearOperator(
         m.nrows,
         m.ncols,

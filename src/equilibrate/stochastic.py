@@ -13,6 +13,11 @@ thread draws the next batch of probe vectors while the current products and
 blends run. Operator callables and ``on_iteration`` always run on the
 caller's thread, and the probe stream is consumed in the same order as
 without the thread, so equal seeds still give bitwise-equal results.
+
+A sweep scales its probe and blends its squared sample in place, in arrays
+it allocated itself. It never writes into a vector that an operator
+returned, nor into the running estimates, which ``ssbin``'s two copies
+share while they mirror each other.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -155,7 +160,16 @@ def _require_square_op(a):
 
 
 def _blend(state, sample, omega):
-    return (1.0 - omega) * (state / state.sum()) + omega * (sample / sample.sum())
+    """(1 - omega) * (state / Σ state) + omega * (sample / Σ sample).
+
+    The result is written into ``sample``, which must be the caller's own
+    temporary; ``state`` is only read.
+    """
+    prior = state / state.sum()
+    prior *= 1.0 - omega
+    sample /= sample.sum()
+    sample *= omega
+    return np.add(prior, sample, out=sample)
 
 
 def _squared_or_raise(v, what):
@@ -183,9 +197,13 @@ def snbin(a, nmv, probes=0, on_iteration=None):
     with _draws(probes, [a.ncols, a.nrows] * nmv) as draw:
         for k in range(1, nmv + 1):
             omega = sched.omega(k)
-            y = a.apply(draw() / np.sqrt(gamma))
+            u = draw()
+            u /= np.sqrt(gamma)
+            y = a.apply(u)
             rho = _blend(rho, _squared_or_raise(y, "row scaling"), omega)
-            z = a.apply_transpose(draw() / np.sqrt(rho))
+            u = draw()
+            u /= np.sqrt(rho)
+            z = a.apply_transpose(u)
             gamma = _blend(gamma, _squared_or_raise(z, "column scaling"), omega)
             if on_iteration is not None:
                 on_iteration(k, DiagonalScaling(1.0 / np.sqrt(rho), 1.0 / np.sqrt(gamma)))
@@ -214,7 +232,9 @@ def ssbin(a, nmv, probes=0, no_switch=False, on_iteration=None):
     mirror_until = min(32, nmv // 2)
     with _draws(probes, [n] * nmv) as draw:
         for k in range(1, nmv + 1):
-            y = a.apply(draw() / np.sqrt(dp))
+            u = draw()
+            u /= np.sqrt(dp)
+            y = a.apply(u)
             omega = sched.omega(k)
             d = _blend(d, _squared_or_raise(y, "symmetric scaling"), omega)
             if no_switch or k < mirror_until:
@@ -245,6 +265,8 @@ def estimate_bx(a, x, nsamples, probes=0):
     acc = np.zeros(a.nrows)
     with _draws(probes, [a.ncols] * nsamples) as draw:
         for _ in range(nsamples):
-            y = a.apply(sx * draw())
+            u = draw()
+            u *= sx
+            y = a.apply(u)
             acc += y * y
     return acc / nsamples

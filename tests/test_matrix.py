@@ -1,5 +1,8 @@
+import gc
 import sys
 import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -287,6 +290,22 @@ def slab_builds(monkeypatch):
     return built
 
 
+@pytest.fixture
+def layout_builds(monkeypatch):
+    """Every `_kernels._Layout` built while the test runs, in either direction."""
+    built = []
+
+    class Recorded(_kernels._Layout):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(_kernels, "_Layout", Recorded)
+    return built
+
+
 def _bits(y):
     return np.ascontiguousarray(y, dtype=np.float64).view(np.int64)
 
@@ -380,35 +399,9 @@ def test_slab_layouts_are_read_only_and_shared_only_when_symmetric(rng):
         assert (slabs.transposed is slabs.forward) == (m is sym)
 
 
-def test_slab_products_start_no_thread_and_serve_concurrent_callers(rng, monkeypatch):
-    m = random_sparse(rng, 6000, 6000, density=0.001)
-    xs = rng.standard_normal((8, m.ncols))
-    expected = [(_bits(m.matvec(x)), _bits(m.rmatvec(x))) for x in xs]
-    started, transposes = [], []
-    original_start, original_transpose = threading.Thread.start, SparseMatrix.transpose
-
-    def start(self):
-        started.append(self)
-        original_start(self)
-
-    def transpose(self):
-        transposes.append(self)
-        return original_transpose(self)
-
-    monkeypatch.setattr(threading.Thread, "start", start)
-    monkeypatch.setattr(SparseMatrix, "transpose", transpose)
-    op = from_sparse(m)
-    op.apply(xs[0])
-    assert started == []
-
-    # More callers than cores race to build the transposed layout on their
-    # first call; it is built once, and every result is the scatter's.
-    results = {}
-
-    def call(name):
-        results[name] = [(_bits(op.apply(x)), _bits(op.apply_transpose(x))) for x in xs]
-
-    callers = [threading.Thread(target=call, args=(name,)) for name in range(4)]
+def _race(call, count=4):
+    """Run ``call(name)`` on ``count`` threads with a tiny switch interval."""
+    callers = [threading.Thread(target=call, args=(name,)) for name in range(count)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -419,8 +412,103 @@ def test_slab_products_start_no_thread_and_serve_concurrent_callers(rng, monkeyp
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
-    assert len(started) == len(callers) and transposes == [m]
+
+
+def test_slab_products_start_no_thread_and_serve_concurrent_callers(
+    rng, monkeypatch, layout_builds
+):
+    m = random_sparse(rng, 6000, 6000, density=0.001)
+    xs = rng.standard_normal((8, m.ncols))
+    expected = [(_bits(m.matvec(x)), _bits(m.rmatvec(x))) for x in xs]
+    started = []
+    original_start = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        original_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    op = from_sparse(m)
+    op.apply(xs[0])
+    assert started == [] and len(layout_builds) == 1
+
+    # More callers than cores race to build the transposed layout on their
+    # first call; it is built once, and every result is the scatter's.
+    results = {}
+
+    def call(name):
+        results[name] = [(_bits(op.apply(x)), _bits(op.apply_transpose(x))) for x in xs]
+
+    _race(call)
+    assert len(started) == 4 and len(layout_builds) == 2
     for name in range(4):
         for (y, z), (ey, ez) in zip(results[name], expected):
             np.testing.assert_array_equal(y, ey)
             np.testing.assert_array_equal(z, ez)
+
+
+def test_slab_layouts_are_built_once_per_matrix(rng, slab_builds, layout_builds):
+    m = random_sparse(rng, 6000, 6000, density=0.001)
+    x = rng.standard_normal(m.ncols)
+    expected = _bits(m.matvec(x)), _bits(m.rmatvec(x))
+    # Callers race to make the first operator over m and its first products.
+    results = {}
+
+    def call(name):
+        op = from_sparse(m)
+        results[name] = _bits(op.apply(x)), _bits(op.apply_transpose(x))
+
+    _race(call)
+    op = from_sparse(m)
+    results["later"] = _bits(op.apply(x)), _bits(op.apply_transpose(x))
+    assert len(slab_builds) == 1 and len(layout_builds) == 2
+    assert slab_builds[0] is m._slabs
+    for y, z in results.values():
+        np.testing.assert_array_equal(y, expected[0])
+        np.testing.assert_array_equal(z, expected[1])
+    # Matrices derived from m share its arrays but not its layouts.
+    assert scale(m, DiagonalScaling.identity(m.nrows, m.ncols))._slabs is None
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_slab_layouts_die_with_their_matrix(rng, transposed):
+    # Without the cycle collector, reference counting alone must free the
+    # layouts once the matrix and its operators are gone, whether or not
+    # the transposed layout was built.
+    m = random_sparse(rng, 6000, 6000, density=0.001)
+    ops = [from_sparse(m), from_sparse(m)]
+    ops[0].apply(np.ones(m.ncols))
+    if transposed:
+        ops[1].apply_transpose(np.ones(m.nrows))
+    layouts = [m._slabs.forward, m._slabs._transposed]
+    refs = [weakref.ref(layout.index) for layout in layouts if layout is not None]
+    assert len(refs) == 1 + transposed
+    gc.disable()
+    try:
+        del m, ops, layouts
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_slab_products_allocate_about_one_entry_per_row(rng):
+    # A product's temporaries hold about one entry per row (the
+    # accumulator, the result, and one run of slabs), not one per stored
+    # entry, which would take about 1.9 MB here.
+    n = 20000
+    m = generate(
+        CorpusSpec("nonsymmetric_general", n=n, density=6e-4, seed=9, scale_spread=2.0)
+    )
+    assert m.nnz >= 2e5 and _kernels.wants_slabs(m)
+    op = from_sparse(m)
+    x = rng.standard_normal(n)
+    op.apply(x), op.apply_transpose(x)  # the layouts are built outside the count
+    tracemalloc.start()
+    try:
+        for product in (op.apply, op.apply_transpose):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            product(x)
+            assert tracemalloc.get_traced_memory()[1] - before < 4 * 8 * n
+    finally:
+        tracemalloc.stop()

@@ -13,7 +13,9 @@ digests pin:
 - the outputs of `ssbin`, `snbin` and `estimate_bx` on one symmetric
   sparse matrix large enough that its probe vectors are drawn ahead of the
   products and its products run on the slab layout, and of `snbin` on a
-  nonsymmetric one, whose transpose products need their own layout.
+  nonsymmetric one, whose transpose products need their own layout; both
+  through the first operator over each matrix and through a later one,
+  which reuses the layouts kept with the matrix.
 
 What moves the digests: numpy's PCG64 streams (the corpus generator and the
 probe source), float64 arithmetic, including the order of every sum, and
@@ -142,8 +144,7 @@ def _large_matrix():
     )
 
 
-def _large_digests():
-    m = _large_matrix()
+def _large_digests(m):
     assert _kernels.wants_slabs(m)
     op = from_sparse(m)
     s = snbin(op, 8, ProbeSource(SEED))
@@ -155,7 +156,7 @@ def _large_digests():
 
 
 def test_drawn_ahead_scalings_are_pinned():
-    assert _large_digests() == _PINNED_LARGE
+    assert _large_digests(_large_matrix()) == _PINNED_LARGE
 
 
 def _large_nonsymmetric_matrix():
@@ -170,11 +171,26 @@ def _large_nonsymmetric_matrix():
     return SparseMatrix.from_coo(n, n, rows, cols, vals)
 
 
+def _transposed_digest(m):
+    s = snbin(from_sparse(m), 8, ProbeSource(SEED))
+    return _digest(s.left, s.right)
+
+
 def test_transposed_products_are_pinned():
     m = _large_nonsymmetric_matrix()
     assert _kernels.wants_slabs(m) and not m.is_symmetric()
-    s = snbin(from_sparse(m), 8, ProbeSource(SEED))
-    assert _digest(s.left, s.right) == _PINNED_LARGE_NONSYMMETRIC
+    assert _transposed_digest(m) == _PINNED_LARGE_NONSYMMETRIC
+
+
+def test_later_operators_on_one_matrix_are_pinned():
+    # The slab layouts stay with the matrix: a second operator reuses the
+    # ones the first built and used, and must give the same bits.
+    m = _large_matrix()
+    _large_digests(m)
+    assert _large_digests(m) == _PINNED_LARGE
+    m = _large_nonsymmetric_matrix()
+    _transposed_digest(m)
+    assert _transposed_digest(m) == _PINNED_LARGE_NONSYMMETRIC
 
 
 def test_run_reports_are_pinned(tmp_path):

@@ -338,6 +338,54 @@ def test_products_and_observers_run_on_the_callers_thread():
     assert len(seen) == 2 * nmv and set(seen) == {here}
 
 
+# ------------------------------------------------- sweeps update in place
+#
+# A sweep scales its probe and blends its squared sample in arrays it
+# allocated itself. Nothing it hands out or receives may change after the
+# fact: not a product an operator returned (which the operator may reuse or
+# which may be the operator's own input) and not an observed estimate.
+
+
+@pytest.mark.parametrize("n", [50, _BIG])
+@pytest.mark.parametrize("method", ["ssbin", "snbin"])
+def test_sweeps_write_into_no_array_the_caller_can_see(method, n):
+    diag = np.linspace(1.0, 2.0, n)
+    buffers, last = {}, {}  # each kept buffer, and what it held when returned
+    returned, observed = [], []  # (array, its contents when handed over)
+
+    def into_buffer(name):
+        buffers[name] = np.empty(n)
+
+        def product(v):
+            np.multiply(diag, v, out=buffers[name])
+            last[name] = buffers[name].copy()
+            return buffers[name]
+
+        return product
+
+    def same_vector(v):
+        returned.append((v, v.copy()))
+        return v
+
+    def observe(k, x):
+        for a in (x.left, x.right) if isinstance(x, DiagonalScaling) else (x,):
+            observed.append((a, a.copy()))
+
+    def bits(apply, apply_transpose, on_iteration=None):
+        op = LinearOperator(n, n, apply, apply_transpose)
+        out = getattr(stochastic, method)(op, 8, ProbeSource(4), on_iteration=on_iteration)
+        return [out.tobytes()] if method == "ssbin" else [out.left.tobytes(), out.right.tobytes()]
+
+    copying = bits(lambda v: diag * v, lambda v: diag * v)
+    assert bits(into_buffer("apply"), into_buffer("apply_transpose"), observe) == copying
+    assert bits(same_vector, same_vector, observe) == bits(np.copy, np.copy)
+    assert returned and len(observed) >= 16
+    for name, buffer in buffers.items():
+        np.testing.assert_array_equal(buffer, last.get(name, buffer))
+    for a, contents in returned + observed:
+        np.testing.assert_array_equal(a, contents)
+
+
 def test_below_the_floor_no_thread_starts(monkeypatch):
     started = []
     original = threading.Thread.start
