@@ -12,14 +12,27 @@ with about ten entries per row:
   then again through a second operator on the same matrix
   (``later_apply_s``, ``later_apply_transpose_s``): where the package keeps
   its layouts with the matrix, only the first pays for building them;
-- when the package has slab layouts, both paths at every size: the scatter
-  (``scatter_*``, `SparseMatrix.matvec`/`rmatvec`) and the slabs
-  (``slab_*``), plus the build of the forward and of the transposed layout
-  (``build_s``, ``build_transposed_s``, the latter with the transpose).
+- when the package has slab layouts, both paths at every size: the
+  ``np.bincount`` scatter, written out here as the package writes it
+  (``scatter_*``), and products of the slab layouts (``slab_*``), plus the
+  build of the forward and of the transposed layout (``build_s``,
+  ``build_transposed_s``, the latter with the transpose).
 
 With slab layouts it also records, at n = 20000, both paths on the same
 matrix with one row lengthened to 50..800 entries (``long_rows``): each
 entry of the longest row adds a slab, which is what the width bound guards.
+``slabs_chosen`` says whether the package's products take the slabs there.
+
+Last, with slab layouts, ``exact`` holds the median seconds of
+`equilibrate_2norm` at n = 20000 on a nonsymmetric and an spd corpus matrix
+at budgets 4, 16 and 64: ``default_s`` on the path the package picks for
+the squared matrix (``slabs_chosen``), and ``scatter_s`` with
+`_kernels.wants_slabs` answering no, where the package decides its path
+through it.
+
+Separate runs can land in different host phases, so compare checkouts by
+the ratios within a run (``slab_*`` to ``scatter_*``, ``default_s`` to
+``scatter_s``) rather than by absolute times across runs.
 
 The result is stored under ``--label`` in a JSON file (by default
 ``BENCH_products.json`` at the repository root), next to the runs already
@@ -42,6 +55,7 @@ import numpy as np
 from probe_draws import ROOT, ROW_FILL, SIZES, _median_s, _stamp
 
 LONG_ROWS = (50, 100, 200, 400, 800)
+EXACT_BUDGETS = (4, 16, 64)
 
 
 def _nonsymmetric(eq, n):
@@ -50,14 +64,57 @@ def _nonsymmetric(eq, n):
     )
 
 
+def _scatter(m, x, transpose=False):
+    into, gather, size = (m.indices, m.rows, m.ncols) if transpose else (m.rows, m.indices, m.nrows)
+    y = np.bincount(into, weights=m.data * x[gather], minlength=size)
+    return y.astype(np.float64, copy=False)
+
+
+def _layout(kernels, m):
+    """The slab layout of m, built whatever path m's products take."""
+    return kernels._Layout(np.diff(m.indptr), m.rows, m.indices, m.data)
+
+
 def _paths(kernels, m, x, y, repeats):
-    slabs = kernels.Slabs(m)
+    forward, transposed = _layout(kernels, m), _layout(kernels, m.transpose())
     return {
-        "scatter_matvec_s": _median_s(lambda: kernels.matvec(m, x), repeats),
-        "scatter_rmatvec_s": _median_s(lambda: kernels.rmatvec(m, y), repeats),
-        "slab_matvec_s": _median_s(lambda: kernels.matvec(slabs, x), repeats),
-        "slab_rmatvec_s": _median_s(lambda: kernels.rmatvec(slabs, y), repeats),
+        "scatter_matvec_s": _median_s(lambda: _scatter(m, x), repeats),
+        "scatter_rmatvec_s": _median_s(lambda: _scatter(m, y, transpose=True), repeats),
+        "slab_matvec_s": _median_s(lambda: forward.product(x), repeats),
+        "slab_rmatvec_s": _median_s(lambda: transposed.product(y), repeats),
     }
+
+
+def _slabs_chosen(eq, m):
+    """Whether operators over m take slabs, recorded with m by a product."""
+    op = eq.from_sparse(m)
+    op.apply(np.ones(m.ncols))
+    op.apply_transpose(np.ones(m.nrows))
+    return bool(m._slabs)
+
+
+def _exact(eq, kernels, repeats):
+    rows = []
+    for family in ("nonsymmetric_general", "spd"):
+        n = SIZES[-1]
+        m = eq.generate(
+            eq.CorpusSpec(family, n=n, density=ROW_FILL / n, seed=2, scale_spread=2.0)
+        )
+        for budget in EXACT_BUDGETS:
+            opts = eq.ExactOptions(max_iters=budget)
+            row = {"family": family, "n": n, "nnz": m.nnz, "budget": budget}
+            squared = eq.elementwise_square(m)
+            squared.matvec(np.ones(n))
+            row["slabs_chosen"] = bool(squared._slabs)
+            row["default_s"] = _median_s(lambda: eq.equilibrate_2norm(m, opts), repeats)
+            wants_slabs = kernels.wants_slabs
+            kernels.wants_slabs = lambda m: False
+            try:
+                row["scatter_s"] = _median_s(lambda: eq.equilibrate_2norm(m, opts), repeats)
+            finally:
+                kernels.wants_slabs = wants_slabs
+            rows.append(row)
+    return rows
 
 
 def _first_and_later(eq, m, x, y, repeats):
@@ -80,7 +137,7 @@ def _first_and_later(eq, m, x, y, repeats):
 def measure(eq, repeats):
     from equilibrate import _kernels
 
-    slabs = hasattr(_kernels, "Slabs")
+    slabs = hasattr(_kernels, "_Layout")
     out = {
         "repeats": repeats,
         "slab_floor": getattr(_kernels, "SLAB_FLOOR", None),
@@ -102,10 +159,9 @@ def measure(eq, repeats):
         }
         if slabs:
             row.update(_paths(_kernels, m, x, y, repeats))
-            # The layout of m.T is the forward layout of m.transpose().
-            row["build_s"] = _median_s(lambda: _kernels.Slabs(m), repeats // 5)
+            row["build_s"] = _median_s(lambda: _layout(_kernels, m), repeats // 5)
             row["build_transposed_s"] = _median_s(
-                lambda: _kernels.Slabs(m.transpose()), repeats // 5
+                lambda: _layout(_kernels, m.transpose()), repeats // 5
             )
         out["sizes"].append(row)
     if slabs:
@@ -121,10 +177,11 @@ def measure(eq, repeats):
                 {
                     "longest_row": int(np.diff(longer.indptr).max()),
                     "nnz": longer.nnz,
-                    "slabs_chosen": _kernels.wants_slabs(longer),
+                    "slabs_chosen": _slabs_chosen(eq, longer),
                     **_paths(_kernels, longer, x, x, repeats),
                 }
             )
+        out["exact"] = _exact(eq, _kernels, max(3, repeats // 10))
     return out
 
 
@@ -144,7 +201,7 @@ def main(argv=None):
     data.setdefault("benchmark", "products")
     data.setdefault("runs", {})[args.label] = run
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    for row in run["sizes"] + run.get("long_rows", []):
+    for row in run["sizes"] + run.get("long_rows", []) + run.get("exact", []):
         print(
             " ".join(
                 f"{k}={v * 1e6:.0f}us" if k.endswith("_s") else f"{k}={v}"

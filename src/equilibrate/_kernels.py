@@ -1,39 +1,42 @@
 """Sparse matrix-vector products, the only way the methods touch a matrix.
 
-Two paths compute the same products, bit for bit:
+`matvec` and `rmatvec` take a SparseMatrix, and its first product decides
+which of two paths all its products take; both give the same bits:
 
-- **Scatter** (`SparseMatrix.matvec`/`rmatvec`, and operators over small
-  matrices): one vectorized gather/scatter over the COO arrays. Gather
-  ``x`` at one index array, multiply by the values, and sum into the other
-  index array with ``np.bincount``. A matrix with no stored entries makes
-  ``np.bincount`` return integer zeros, hence the (otherwise copy-free)
-  cast to float64.
-- **Slabs** (`from_sparse` operators over matrices that `wants_slabs`: at
-  least `SLAB_FLOOR` stored entries, and no row or column long enough to
-  make the slabs narrow): a jagged-diagonal layout (Saad, *Iterative
-  Methods for Sparse Linear Systems*, 2nd ed., section 3.4). Rows are
-  ordered by decreasing stored length, and slab k holds the k-th stored
-  entry of every row longer than k. A product gathers and multiplies a
-  run of consecutive slabs at a time, about as many entries as there are
-  rows, adds each slab of the run into a prefix of the accumulator, and
-  ends with one gather back to row order. It replaces the scatter, which
-  takes about half of a product at 2e5 entries, and its largest temporary
-  holds about one entry per row instead of one per stored entry.
+- **Scatter** (matrices that do not `wants_slabs`): one vectorized
+  gather/scatter over the COO arrays. Gather ``x`` at one index array,
+  multiply by the values, and sum into the other index array with
+  ``np.bincount``. A matrix with no stored entries makes ``np.bincount``
+  return integer zeros, hence the (otherwise copy-free) cast to float64.
+- **Slabs** (matrices with at least `SLAB_FLOOR` stored entries, and no row
+  or column long enough to make the slabs narrow): a jagged-diagonal layout
+  (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., section
+  3.4). Rows are ordered by decreasing stored length, and slab k holds the
+  k-th stored entry of every row longer than k. A product gathers and
+  multiplies a run of consecutive slabs at a time, about as many entries as
+  there are rows, adds each slab of the run into a prefix of the
+  accumulator, and ends with one gather back to row order. It replaces the
+  scatter, which takes about half of a product at 2e5 entries, and its
+  largest temporary holds about one entry per row instead of one per
+  stored entry.
 
 Why the bits agree: ``np.bincount`` adds each row's terms to +0.0 in stored
 order, and the slab loop adds the k-th term of every row in slab k, so each
-row is summed from +0.0 in the same order. The layouts of a matrix are
-built once, by `slabs`, and kept with the matrix (which is immutable): one
-per direction, or one in all when the matrix is known to be symmetric. Each
-holds a reordered copy of the entries, 16 bytes per stored entry plus 8
-per row, for as long as the matrix lives.
+row is summed from +0.0 in the same order. The matrix (which is immutable)
+keeps the decision in ``m._slabs``: ``()`` for the scatter, or its
+``[forward, transposed]`` layouts, the transposed one built on the first
+transpose product and shared with the forward one when M equals M.T. Each
+layout holds a reordered copy of the entries, 16 bytes per stored entry
+plus 8 per row, for as long as the matrix lives. Layouts are read-only and
+each product allocates its own buffers, so one matrix can serve several
+threads at once.
 """
 
 import threading
 
 import numpy as np
 
-# Operators over matrices with at least this many stored entries use slabs.
+# Matrices with at least this many stored entries multiply through slabs.
 # Below it the per-slab loop and the build cost more than the scatter; see
 # benchmarks/products.py and BENCH_products.json.
 SLAB_FLOOR = 1 << 15
@@ -48,7 +51,7 @@ _build = threading.Lock()
 
 
 def wants_slabs(m):
-    """Whether an operator over SparseMatrix m should multiply through `Slabs`."""
+    """Whether the products of SparseMatrix m should go through slab layouts."""
     if m.nnz < SLAB_FLOOR:
         return False
     longest = max(np.diff(m.indptr).max(), np.bincount(m.indices).max())
@@ -56,61 +59,59 @@ def wants_slabs(m):
 
 
 def matvec(m, x):
-    """y = M @ x for a SparseMatrix m, or the Slabs of M, and a float64 vector x."""
-    if isinstance(m, Slabs):
-        return m.forward.product(x)
-    y = np.bincount(m.rows, weights=m.data * x[m.indices], minlength=m.nrows)
-    return y.astype(np.float64, copy=False)
+    """y = M @ x for a SparseMatrix m and a float64 vector x."""
+    slabs = _decided(m)
+    if not slabs:
+        return _scatter(m.rows, m.indices, m.data, x, m.nrows)
+    return slabs[0].product(x)
 
 
 def rmatvec(m, x):
-    """y = M.T @ x for a SparseMatrix m, or the Slabs of M, and a float64 vector x."""
-    if isinstance(m, Slabs):
-        return m.transposed.product(x)
-    y = np.bincount(m.indices, weights=m.data * x[m.rows], minlength=m.ncols)
+    """y = M.T @ x for a SparseMatrix m and a float64 vector x."""
+    slabs = _decided(m)
+    if not slabs:
+        return _scatter(m.indices, m.rows, m.data, x, m.ncols)
+    if slabs[1] is None:
+        with _build:
+            if slabs[1] is None:
+                slabs[1] = _transposed(m, slabs[0])
+    return slabs[1].product(x)
+
+
+def _scatter(into, gather, vals, x, size):
+    y = np.bincount(into, weights=vals * x[gather], minlength=size)
     return y.astype(np.float64, copy=False)
 
 
-def slabs(m):
-    """The `Slabs` of SparseMatrix m, built on the first call and kept with m."""
+def _decided(m):
+    """m's product path, decided on its first product: ``()`` or its layouts."""
     if m._slabs is None:
         with _build:
             if m._slabs is None:
-                m._slabs = Slabs(m)
+                m._slabs = (
+                    [_Layout(np.diff(m.indptr), m.rows, m.indices, m.data), None]
+                    if wants_slabs(m)
+                    else ()
+                )
     return m._slabs
 
 
-class Slabs:
-    """Slab layouts of a SparseMatrix M, for `matvec` and `rmatvec`.
-
-    The layout of M is built at once, and that of M.T on the first
-    `rmatvec`; when M is already known to be symmetric the two are one.
-    Layouts are read-only and each product allocates its own buffers, so one
-    Slabs can serve several threads at once. A Slabs holds M's entry arrays
-    until it has built M.T's layout, but not M itself, so the Slabs that
-    `slabs` keeps with M dies with M.
-    """
-
-    __slots__ = ("forward", "_transposed", "_entries")
-
-    def __init__(self, m):
-        self.forward = _Layout(np.diff(m.indptr), m.rows, m.indices, m.data)
-        self._transposed = self.forward if m._symmetric else None
-        self._entries = None if m._symmetric else (m.nrows, m.ncols, m.rows, m.indices, m.data)
-
-    @property
-    def transposed(self):
-        if self._transposed is None:
-            with _build:
-                if self._transposed is None:
-                    nrows, ncols, rows, cols, vals = self._entries
-                    # M.T's row-major order, as in `SparseMatrix.transpose`:
-                    # the keys are unique, so any sort orders them the same way.
-                    order = np.argsort(cols * np.int64(nrows) + rows)
-                    lengths = np.bincount(cols, minlength=ncols)
-                    self._transposed = _Layout(lengths, cols, rows, vals, order)
-                    self._entries = None
-        return self._transposed
+def _transposed(m, forward):
+    """The layout of M.T, which is ``forward`` when M equals M.T (memoized in m)."""
+    if m._symmetric:
+        return forward
+    # M.T's row lengths and row-major order, as in `SparseMatrix.transpose`:
+    # the keys are unique, so any sort orders them the same way.
+    lengths = np.bincount(m.indices, minlength=m.ncols)
+    order = np.argsort(m.indices * np.int64(m.nrows) + m.rows)
+    if m._symmetric is None:  # what `SparseMatrix.is_symmetric` compares
+        m._symmetric = np.array_equal(lengths, np.diff(m.indptr)) and all(
+            np.array_equal(a[order], b)
+            for a, b in ((m.indices, m.rows), (m.rows, m.indices), (m.data, m.data))
+        )
+        if m._symmetric:
+            return forward
+    return _Layout(lengths, m.indices, m.rows, m.data, order)
 
 
 class _Layout:

@@ -28,8 +28,9 @@ class SparseMatrix:
     accepts entries in any order and sums duplicate (row, col) pairs
     (Matrix Market convention); derived matrices are stored without
     re-sorting. Since nothing can change a matrix, the answer of
-    `is_symmetric` is memoized, and so are the slab layouts that `from_sparse`
-    builds for large matrices (``_slabs``).
+    `is_symmetric` is memoized, and so is the product path that `_kernels`
+    picks on the first product, with the slab layouts of a large matrix
+    (``_slabs``).
     """
 
     __slots__ = ("nrows", "ncols", "indptr", "indices", "data", "rows", "_symmetric", "_slabs")
@@ -218,25 +219,11 @@ class LinearOperator:
 def from_sparse(m):
     """Product-only operator backed by an explicit sparse matrix.
 
-    Over a small matrix the operator multiplies through `SparseMatrix.matvec`
-    and `rmatvec`. Over a large one (`_kernels.wants_slabs`: at least
-    `_kernels.SLAB_FLOOR` stored entries and no row or column so long that
-    slabs get narrow) it multiplies through slab layouts, which are kept
-    with m: the first operator over m builds the layout of m, and the first
-    transpose product the one of m.T, unless m is already known to be
-    symmetric. Later operators over m reuse them. Each layout is a
-    reordered copy of the entries, about 16 bytes per stored entry, kept as
-    long as m. Both paths give the same bits.
+    It multiplies through `SparseMatrix.matvec` and `rmatvec`, so it shares
+    the product path that m takes, and the slab layouts of a large m, with
+    every other operator over m.
     """
-    if not _kernels.wants_slabs(m):
-        return LinearOperator(m.nrows, m.ncols, m.matvec, m.rmatvec)
-    slabs = _kernels.slabs(m)
-    return LinearOperator(
-        m.nrows,
-        m.ncols,
-        lambda x: _kernels.matvec(slabs, x),
-        lambda x: _kernels.rmatvec(slabs, x),
-    )
+    return LinearOperator(m.nrows, m.ncols, m.matvec, m.rmatvec)
 
 
 def elementwise_square(m):

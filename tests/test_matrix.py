@@ -20,6 +20,7 @@ from equilibrate.matrix import (
 )
 
 from conftest import random_sparse
+from test_pinned import _large_matrix, _large_nonsymmetric_matrix
 
 
 def _assert_same_storage(a, b):
@@ -268,26 +269,10 @@ def test_linear_operator_from_callables():
     np.testing.assert_array_equal(op.apply_transpose(np.array([2.0, 4.0])), [1.0, 2.0])
 
 
-# Slab products. Operators over matrices above `_kernels.SLAB_FLOOR` multiply
-# through a jagged-diagonal layout; their products must equal the scatter
-# products of `SparseMatrix.matvec`/`rmatvec` bit for bit, compared as int64
-# views so that -0.0 and +0.0 differ.
-
-
-@pytest.fixture
-def slab_builds(monkeypatch):
-    """Every `_kernels.Slabs` that `from_sparse` builds while the test runs."""
-    built = []
-
-    class Recorded(_kernels.Slabs):
-        __slots__ = ()
-
-        def __init__(self, m):
-            super().__init__(m)
-            built.append(self)
-
-    monkeypatch.setattr(_kernels, "Slabs", Recorded)
-    return built
+# Slab products. Matrices above `_kernels.SLAB_FLOOR` multiply through a
+# jagged-diagonal layout; their products must equal the `np.bincount`
+# scatter products bit for bit, compared as int64 views so that -0.0 and
+# +0.0 differ.
 
 
 @pytest.fixture
@@ -310,16 +295,28 @@ def _bits(y):
     return np.ascontiguousarray(y, dtype=np.float64).view(np.int64)
 
 
-def _assert_slab_products_are_scatter_products(m, rng, slab_builds, xs=()):
+def _scatter(m, x, transpose=False):
+    """M @ x, or M.T @ x, on the scatter path, whichever path m takes."""
+    if transpose:
+        return _kernels._scatter(m.indices, m.rows, m.data, x, m.ncols)
+    return _kernels._scatter(m.rows, m.indices, m.data, x, m.nrows)
+
+
+def _assert_slab_products_are_scatter_products(m, rng, layout_builds, xs=()):
     assert _kernels.wants_slabs(m)
     op = from_sparse(m)
-    assert len(slab_builds) == 1
     xs = [*xs, rng.standard_normal(m.ncols), rng.standard_normal(m.ncols)]
     ys = [rng.standard_normal(m.nrows), rng.standard_normal(m.nrows)]
     for x in xs:
-        np.testing.assert_array_equal(_bits(op.apply(x)), _bits(m.matvec(x)))
+        np.testing.assert_array_equal(_bits(op.apply(x)), _bits(_scatter(m, x)))
+        np.testing.assert_array_equal(_bits(m.matvec(x)), _bits(_scatter(m, x)))
+    assert len(layout_builds) == 1
     for y in ys:
-        np.testing.assert_array_equal(_bits(op.apply_transpose(y)), _bits(m.rmatvec(y)))
+        expected = _bits(_scatter(m, y, transpose=True))
+        np.testing.assert_array_equal(_bits(op.apply_transpose(y)), expected)
+        np.testing.assert_array_equal(_bits(m.rmatvec(y)), expected)
+    # M.T shares M's layout exactly when M is symmetric.
+    assert len(layout_builds) == 1 + (not m.is_symmetric())
 
 
 @pytest.mark.parametrize(
@@ -332,27 +329,27 @@ def _assert_slab_products_are_scatter_products(m, rng, slab_builds, xs=()):
         ("permutation_plus_noise", 0.003),
     ],
 )
-def test_slab_products_match_on_every_corpus_family(rng, slab_builds, family, density):
+def test_slab_products_match_on_every_corpus_family(rng, layout_builds, family, density):
     m = generate(CorpusSpec(family, n=3500, density=density, seed=21, scale_spread=2.0))
-    _assert_slab_products_are_scatter_products(m, rng, slab_builds)
+    _assert_slab_products_are_scatter_products(m, rng, layout_builds)
 
 
-def test_slab_products_match_on_a_rectangular_operator(rng, slab_builds):
+def test_slab_products_match_on_a_rectangular_operator(rng, layout_builds):
     m = random_sparse(rng, 2500, 4000, density=0.004)
     assert m.nrows != m.ncols and m.nnz >= _kernels.SLAB_FLOOR
-    _assert_slab_products_are_scatter_products(m, rng, slab_builds)
+    _assert_slab_products_are_scatter_products(m, rng, layout_builds)
 
 
-def test_slab_products_match_with_empty_rows_and_columns(rng, slab_builds):
+def test_slab_products_match_with_empty_rows_and_columns(rng, layout_builds):
     n = 12000
     rows = 2 * rng.integers(0, n // 2, size=4 * n)  # odd rows stay empty
     cols = 3 * rng.integers(0, n // 3, size=4 * n)  # so do two columns in three
     m = SparseMatrix.from_coo(n, n, rows, cols, rng.standard_normal(rows.size))
     assert not np.diff(m.indptr)[1::2].any()
-    _assert_slab_products_are_scatter_products(m, rng, slab_builds)
+    _assert_slab_products_are_scatter_products(m, rng, layout_builds)
 
 
-def test_slab_products_keep_the_sign_of_zero_sums(rng, slab_builds):
+def test_slab_products_keep_the_sign_of_zero_sums(rng, layout_builds):
     # Row 0 sums 0.5 + (-0.5) to +0.0; row 1's only term is -2.0 * 0.0 =
     # -0.0, which a sum from +0.0 turns into +0.0. The rest pads the matrix
     # above the floor.
@@ -364,25 +361,30 @@ def test_slab_products_keep_the_sign_of_zero_sums(rng, slab_builds):
     x = rng.standard_normal(n)
     x[5] = x[6] = 0.5
     x[7] = 0.0
-    assert _bits(m.matvec(x))[:2].tolist() == [0, 0]
-    _assert_slab_products_are_scatter_products(m, rng, slab_builds, xs=[x])
+    assert _bits(_scatter(m, x))[:2].tolist() == [0, 0]
+    _assert_slab_products_are_scatter_products(m, rng, layout_builds, xs=[x])
 
 
-def test_slab_products_match_with_one_long_row(rng, slab_builds):
+def test_slab_products_match_with_one_long_row(rng, layout_builds):
     n = 40000
     rows = np.concatenate([rng.integers(0, n, size=3 * n), np.full(100, 17)])
     cols = np.concatenate([rng.integers(0, n, size=3 * n), rng.choice(n, 100, replace=False)])
     m = SparseMatrix.from_coo(n, n, rows, cols, rng.standard_normal(rows.size))
-    _assert_slab_products_are_scatter_products(m, rng, slab_builds)
-    assert len(slab_builds[0].forward._slabs) == np.diff(m.indptr).max() >= 100
+    _assert_slab_products_are_scatter_products(m, rng, layout_builds)
+    assert len(m._slabs[0]._slabs) == np.diff(m.indptr).max() >= 100
     # Ten times longer, the row would cost more in slab loops than the
-    # scatter costs, so the operator keeps the scatter.
+    # scatter costs, so the matrix keeps the scatter; so would a long
+    # column, for the transposed products.
     rows = np.concatenate([rows, np.full(1000, 17)])
     cols = np.concatenate([cols, np.arange(1000)])
     longer = SparseMatrix.from_coo(n, n, rows, cols, np.ones(rows.size))
-    assert longer.nnz >= _kernels.SLAB_FLOOR and not _kernels.wants_slabs(longer)
-    # So would a long column, for the transposed products.
-    assert not _kernels.wants_slabs(longer.transpose())
+    x = rng.standard_normal(n)
+    for k in (longer, longer.transpose()):
+        assert k.nnz >= _kernels.SLAB_FLOOR and not _kernels.wants_slabs(k)
+        np.testing.assert_array_equal(_bits(k.matvec(x)), _bits(_scatter(k, x)))
+        np.testing.assert_array_equal(_bits(k.rmatvec(x)), _bits(_scatter(k, x, True)))
+        assert k._slabs == ()
+    assert len(layout_builds) == 2
 
 
 def test_slab_layouts_are_read_only_and_shared_only_when_symmetric(rng):
@@ -390,13 +392,59 @@ def test_slab_layouts_are_read_only_and_shared_only_when_symmetric(rng):
     nonsym = generate(CorpusSpec("nonsymmetric_general", n=3500, density=0.003, seed=4))
     assert sym.is_symmetric() and not nonsym.is_symmetric()
     for m in (sym, nonsym):
-        slabs = _kernels.Slabs(m)
-        for layout in (slabs.forward, slabs.transposed):
+        m.rmatvec(np.ones(m.nrows))
+        forward, transposed = m._slabs
+        for layout in (forward, transposed):
             for a in (layout.index, layout.value, layout.inverse):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[0] = 1
-        assert (slabs.transposed is slabs.forward) == (m is sym)
+        assert (transposed is forward) == (m is sym)
+
+
+def test_the_product_path_is_decided_once_per_matrix(rng, monkeypatch):
+    decided = []
+    wants_slabs = _kernels.wants_slabs
+
+    def counted(m):
+        decided.append(m)
+        return wants_slabs(m)
+
+    monkeypatch.setattr(_kernels, "wants_slabs", counted)
+    large, small = _large_nonsymmetric_matrix(), random_sparse(rng, 50, 50)
+    for m in (large, small):
+        x = rng.standard_normal(m.ncols)
+        for op in [from_sparse(m) for _ in range(3)]:
+            op.apply(x), op.apply_transpose(x)
+        m.matvec(x), m.rmatvec(x)
+    assert [id(m) for m in decided] == [id(large), id(small)]
+    assert len(large._slabs) == 2 and small._slabs == ()
+
+
+def test_a_symmetric_matrix_holds_one_layout(rng, layout_builds):
+    # Symmetry is not known when _large_matrix is first multiplied; its
+    # first transpose product finds it, and shares the forward layout.
+    m = _large_matrix()
+    assert m._symmetric is None
+    op = from_sparse(m)
+    x = rng.standard_normal(m.nrows)
+    op.apply(x)
+    np.testing.assert_array_equal(_bits(op.apply_transpose(x)), _bits(_scatter(m, x, True)))
+    forward, transposed = m._slabs
+    assert transposed is forward and len(layout_builds) == 1
+    assert m.is_symmetric()
+    # Mirrored patterns with one value changed, and a nonsymmetric matrix,
+    # get a layout of their own for M.T.
+    data = m.data.copy()
+    data[np.flatnonzero(m.rows != m.indices)[0]] *= 2.0
+    near = SparseMatrix.from_coo(m.nrows, m.ncols, m.rows, m.indices, data)
+    for k in (near, _large_nonsymmetric_matrix()):
+        y = rng.standard_normal(k.nrows)
+        np.testing.assert_array_equal(_bits(k.rmatvec(y)), _bits(_scatter(k, y, True)))
+        forward, transposed = k._slabs
+        assert transposed is not forward
+        assert not k.is_symmetric() and k != k.transpose()
+    assert len(layout_builds) == 5
 
 
 def _race(call, count=4):
@@ -419,7 +467,7 @@ def test_slab_products_start_no_thread_and_serve_concurrent_callers(
 ):
     m = random_sparse(rng, 6000, 6000, density=0.001)
     xs = rng.standard_normal((8, m.ncols))
-    expected = [(_bits(m.matvec(x)), _bits(m.rmatvec(x))) for x in xs]
+    expected = [(_bits(_scatter(m, x)), _bits(_scatter(m, x, True))) for x in xs]
     started = []
     original_start = threading.Thread.start
 
@@ -447,10 +495,10 @@ def test_slab_products_start_no_thread_and_serve_concurrent_callers(
             np.testing.assert_array_equal(z, ez)
 
 
-def test_slab_layouts_are_built_once_per_matrix(rng, slab_builds, layout_builds):
+def test_slab_layouts_are_built_once_per_matrix(rng, layout_builds):
     m = random_sparse(rng, 6000, 6000, density=0.001)
     x = rng.standard_normal(m.ncols)
-    expected = _bits(m.matvec(x)), _bits(m.rmatvec(x))
+    expected = _bits(_scatter(m, x)), _bits(_scatter(m, x, True))
     # Callers race to make the first operator over m and its first products.
     results = {}
 
@@ -461,8 +509,7 @@ def test_slab_layouts_are_built_once_per_matrix(rng, slab_builds, layout_builds)
     _race(call)
     op = from_sparse(m)
     results["later"] = _bits(op.apply(x)), _bits(op.apply_transpose(x))
-    assert len(slab_builds) == 1 and len(layout_builds) == 2
-    assert slab_builds[0] is m._slabs
+    assert len(layout_builds) == 2 and m._slabs == layout_builds
     for y, z in results.values():
         np.testing.assert_array_equal(y, expected[0])
         np.testing.assert_array_equal(z, expected[1])
@@ -480,12 +527,11 @@ def test_slab_layouts_die_with_their_matrix(rng, transposed):
     ops[0].apply(np.ones(m.ncols))
     if transposed:
         ops[1].apply_transpose(np.ones(m.nrows))
-    layouts = [m._slabs.forward, m._slabs._transposed]
-    refs = [weakref.ref(layout.index) for layout in layouts if layout is not None]
+    refs = [weakref.ref(layout.index) for layout in m._slabs if layout is not None]
     assert len(refs) == 1 + transposed
     gc.disable()
     try:
-        del m, ops, layouts
+        del m, ops
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()

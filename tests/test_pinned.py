@@ -15,7 +15,9 @@ digests pin:
   products and its products run on the slab layout, and of `snbin` on a
   nonsymmetric one, whose transpose products need their own layout; both
   through the first operator over each matrix and through a later one,
-  which reuses the layouts kept with the matrix.
+  which reuses the layouts kept with the matrix;
+- `sk_exact` on that nonsymmetric matrix and `sym_sk_exact` on the
+  symmetric one, whose squared matrices take slab products too.
 
 What moves the digests: numpy's PCG64 streams (the corpus generator and the
 probe source), float64 arithmetic, including the order of every sum, and
@@ -98,6 +100,11 @@ _PINNED_LARGE = {
 }
 
 _PINNED_LARGE_NONSYMMETRIC = "3a870926868ce0c981fe205bb93723613d63d6283cf9545cb1021d88deb8c3a9"
+
+_PINNED_LARGE_EXACT = {
+    "sk_exact": "7689b3ea6727612e9a3341465a6ada2c01123d3dddd16d9b6d329f74077f5d1e",
+    "sym_sk_exact": "f865072f3a6ab72b5a0ca762b7d69a06482ebba9482e05e45ab39a1e86530925",
+}
 
 _PINNED_REPORT = "762f83d237092ce85b5222f4e18795608a925e7c9c1d6d93a7ceb347102330ba"
 
@@ -191,6 +198,18 @@ def test_later_operators_on_one_matrix_are_pinned():
     m = _large_nonsymmetric_matrix()
     _transposed_digest(m)
     assert _transposed_digest(m) == _PINNED_LARGE_NONSYMMETRIC
+
+
+def test_exact_scalings_on_the_slab_path_are_pinned():
+    digests = {}
+    for name, m in (
+        ("sk_exact", _large_nonsymmetric_matrix()),
+        ("sym_sk_exact", _large_matrix()),
+    ):
+        assert _kernels.wants_slabs(m)
+        s = TABLE[name].scaling(m, 8, SEED)
+        digests[name] = _digest(s.left, s.right)
+    assert digests == _PINNED_LARGE_EXACT
 
 
 def test_run_reports_are_pinned(tmp_path):
