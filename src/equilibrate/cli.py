@@ -8,9 +8,12 @@ status is 0 on full success, 1 when any per-matrix cell failed, 2 on
 configuration problems and on any other package error that stops the
 command.
 
-``run`` loads and measures each input on the calling thread and hands
-each cell's cond_after to one background thread, which costs a few MB of
-resident memory; a cell's ``wall_time`` covers its scaling only.
+``run`` loads and measures each input on the calling thread. A cell's
+cond_after on an input of order 501 or more goes to one background thread,
+which overlaps it with the scaling of the next cells and costs a few MB of
+resident memory. numpy holds the GIL through the SVD of a smaller matrix,
+so those would stop the calling thread anyway; they run on it after the
+last cell is scaled. A cell's ``wall_time`` covers its scaling only.
 """
 
 import argparse
@@ -20,6 +23,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from equilibrate.corpus import CorpusSpec, generate, parse_spec_line, read_spec_file, spec_name
@@ -47,6 +51,10 @@ ALGORITHMS = tuple(TABLE)
 # What a bad matrix can raise inside a cell; np.linalg.LinAlgError is a
 # ValueError. Anything else is a bug and aborts the batch.
 CELL_ERRORS = (EquilibrateError, ValueError, FloatingPointError)
+# The smallest order whose dense SVD releases the GIL (numpy 2.4.6 holds it
+# through a square SVD of order 500 or less): run_experiment hands only
+# these condition numbers to its worker thread.
+_WORKER_MIN_ORDER = 501
 
 
 @dataclass
@@ -192,13 +200,18 @@ def run_experiment(cfg):
     (matrix, algorithm, nmv, seed), and everything except wall_time is a
     pure function of the config.
 
-    cond_before is computed on this thread. Each cell's cond_after runs on
-    one worker thread, on the scaled matrix ratio_after was measured on,
-    while this thread scales the next cells. wall_time covers the scaling
-    only.
+    cond_before is computed on this thread. cond_after is computed on the
+    scaled matrix ratio_after was measured on. For an input of order
+    _WORKER_MIN_ORDER or more it runs on one worker thread while this
+    thread scales the next cells. numpy holds the GIL through the SVD of a
+    smaller matrix, which would stop this thread just the same, so those
+    run here after the last cell is scaled, while the worker finishes the
+    large ones. wall_time covers the scaling only.
     """
     reports = []
-    cells, copies = [], []  # (row, cond_after future); (computed row, budget, seed)
+    here, there = [], []  # (row, callable returning its cond_after)
+    copies = []  # (computed row, budget, seed)
+    cond = partial(condition_number, cap=cfg.cond_cap)
     worker = ThreadPoolExecutor(max_workers=1)
     try:
         for source in cfg.inputs:
@@ -211,7 +224,7 @@ def run_experiment(cfg):
                 ratio_before = ratio(m)
                 cond_before = None
                 if m.nrows == m.ncols <= cfg.cond_cap:
-                    cond_before = condition_number(m, cap=cfg.cond_cap)
+                    cond_before = cond(m)
             except (*CELL_ERRORS, OSError) as exc:
                 reports.extend(_failure_rows(name, algorithms, cfg, exc))
                 continue
@@ -231,14 +244,16 @@ def run_experiment(cfg):
                             )
                             scaled = _scale_cell(row, m, alg)
                             if cond_before is not None and scaled is not None:
-                                after = worker.submit(condition_number, scaled, cap=cfg.cond_cap)
-                                cells.append((row, after))
+                                if m.nrows < _WORKER_MIN_ORDER:
+                                    here.append((row, partial(cond, scaled)))
+                                else:
+                                    there.append((row, worker.submit(cond, scaled).result))
                             computed[key] = row
                         copies.append((computed[key], budget, seed))
 
-        for row, after in cells:
+        for row, cond_after in here + there:
             try:
-                row.cond_after = after.result()
+                row.cond_after = cond_after()
             except CELL_ERRORS as exc:
                 row.status = f"error: {exc}"
         reports.extend(dataclasses.replace(row, nmv=b, seed=s) for row, b, s in copies)

@@ -159,24 +159,27 @@ def _require_square_op(a):
         raise DimensionMismatch("stochastic equilibration requires a square operator")
 
 
-def _blend(state, sample, omega):
-    """(1 - omega) * (state / Σ state) + omega * (sample / Σ sample).
+def _blend(state, sample, total, omega):
+    """(1 - omega) * (state / Σ state) + omega * (sample / total).
 
-    The result is written into ``sample``, which must be the caller's own
-    temporary; ``state`` is only read.
+    ``total`` is Σ sample, as `_squared_or_raise` returns it. The result is
+    written into ``sample``, which must be the caller's own temporary;
+    ``state`` is only read.
     """
     prior = state / state.sum()
     prior *= 1.0 - omega
-    sample /= sample.sum()
+    sample /= total
     sample *= omega
     return np.add(prior, sample, out=sample)
 
 
 def _squared_or_raise(v, what):
+    """The elementwise square of ``v`` and its sum, which must not be zero."""
     sq = v * v
-    if sq.sum() == 0.0:
+    total = sq.sum()
+    if total == 0.0:
         raise DegenerateProbe(f"probe annihilated by the operator while updating {what}")
-    return sq
+    return sq, total
 
 
 def snbin(a, nmv, probes=0, on_iteration=None):
@@ -200,11 +203,11 @@ def snbin(a, nmv, probes=0, on_iteration=None):
             u = draw()
             u /= np.sqrt(gamma)
             y = a.apply(u)
-            rho = _blend(rho, _squared_or_raise(y, "row scaling"), omega)
+            rho = _blend(rho, *_squared_or_raise(y, "row scaling"), omega)
             u = draw()
             u /= np.sqrt(rho)
             z = a.apply_transpose(u)
-            gamma = _blend(gamma, _squared_or_raise(z, "column scaling"), omega)
+            gamma = _blend(gamma, *_squared_or_raise(z, "column scaling"), omega)
             if on_iteration is not None:
                 on_iteration(k, DiagonalScaling(1.0 / np.sqrt(rho), 1.0 / np.sqrt(gamma)))
     return DiagonalScaling(1.0 / np.sqrt(rho), 1.0 / np.sqrt(gamma))
@@ -236,7 +239,7 @@ def ssbin(a, nmv, probes=0, no_switch=False, on_iteration=None):
             u /= np.sqrt(dp)
             y = a.apply(u)
             omega = sched.omega(k)
-            d = _blend(d, _squared_or_raise(y, "symmetric scaling"), omega)
+            d = _blend(d, *_squared_or_raise(y, "symmetric scaling"), omega)
             if no_switch or k < mirror_until:
                 dp = d
             else:

@@ -325,7 +325,7 @@ def test_run_experiment_tests_each_matrix_for_symmetry_once(tmp_path, monkeypatc
     assert transposed[0].data.min() < 0.0  # the signed input, not its square
 
 
-# ------------------------------------ condition numbers on the worker
+# ----------------------------------------- where condition numbers run
 
 
 def _without_wall_time(rows):
@@ -357,7 +357,16 @@ def _record_scale(monkeypatch):
     return scaled
 
 
-def test_run_experiment_wall_time_excludes_a_failing_condition_number(monkeypatch):
+@pytest.fixture(params=["here", "worker"])
+def cond_after_path(request, monkeypatch):
+    """Where cond_after runs: on this thread, as for every input of these
+    tests, or on the worker, with the order that goes there lowered to 1."""
+    if request.param == "worker":
+        monkeypatch.setattr("equilibrate.cli._WORKER_MIN_ORDER", 1)
+    return request.param
+
+
+def test_run_experiment_wall_time_excludes_a_failing_condition_number(monkeypatch, cond_after_path):
     calls = []
 
     def slow_failing(m, cap):
@@ -378,28 +387,45 @@ def test_run_experiment_wall_time_excludes_a_failing_condition_number(monkeypatc
 
 
 def test_run_experiment_failing_cond_after_fails_its_cell_only(monkeypatch):
-    # Calls arrive in order: cond_before on this thread, then on the worker
-    # jacobi's single cell, sk_exact at budget 4, and sk_exact at budget 8,
-    # whose two seeds copy one computed row.
-    calls = []
-    failure = np.linalg.LinAlgError("SVD did not converge")
-    monkeypatch.setattr("equilibrate.cli.condition_number", _failing_call(1 + 3, failure, calls))
+    # Order 20 stays on this thread and order 25 goes to the worker. The
+    # calls for one input arrive in order: cond_before, then its cells' in
+    # the order they are scaled. Symmetric input: jacobi's single cell,
+    # sk_exact at budget 4 and sk_exact at budget 8, whose two seeds copy
+    # one computed row. Nonsymmetric input (no jacobi): sk_exact at budget
+    # 4 first.
+    monkeypatch.setattr("equilibrate.cli._WORKER_MIN_ORDER", 21)
+    failing = {20: 1 + 3, 25: 1 + 1}
+    calls = {20: [], 25: []}
+
+    def patched(m, cap):
+        calls[m.nrows].append(threading.get_ident())
+        if len(calls[m.nrows]) == failing[m.nrows]:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return condition_number(m, cap=cap)
+
+    monkeypatch.setattr("equilibrate.cli.condition_number", patched)
     cfg = ExperimentConfig(
-        inputs=[_SYM_SPEC], algorithms=("jacobi", "sk_exact", "snbin"), budgets=(4, 8), seeds_per_run=2
+        inputs=[_SYM_SPEC, _NONSYM_SPEC],
+        algorithms=("jacobi", "sk_exact", "snbin"),
+        budgets=(4, 8),
+        seeds_per_run=2,
     ).validate()
     threads = threading.active_count()
     rows = run_experiment(cfg)
     assert threading.active_count() == threads
-    assert len(rows) == 3 * 2 * 2
+    assert len(rows) == 3 * 2 * 2 + 2 * 2 * 2
+    failed = {(spec_name(_SYM_SPEC), 8), (spec_name(_NONSYM_SPEC), 4)}
     for r in rows:
         assert r.cond_before is not None and r.ratio_after is not None
-        if (r.algorithm, r.nmv) == ("sk_exact", 8):
+        if r.algorithm == "sk_exact" and (r.matrix_name, r.nmv) in failed:
             assert r.status == "error: SVD did not converge", r
             assert r.cond_after is None
         else:
             assert r.status == "ok", r
             assert r.cond_after is not None
-    assert len(calls) == 1 + 1 + 2 + 4
+    assert len(calls[20]) == 1 + 1 + 2 + 4 and len(calls[25]) == 1 + 2 + 4
+    here = threading.get_ident()
+    assert set(calls[20]) == {here} and here not in calls[25][1:]
 
 
 def test_run_experiment_failing_cond_before_fails_its_input_only(monkeypatch):
@@ -425,28 +451,54 @@ def test_run_experiment_failing_cond_before_fails_its_input_only(monkeypatch):
     assert [m.nrows for m in scaled] == [25, 25]
 
 
-def test_run_experiment_propagates_a_bug_on_the_worker(monkeypatch):
+def test_run_experiment_propagates_a_bug_in_cond_after(monkeypatch, cond_after_path):
     calls = []
     monkeypatch.setattr("equilibrate.cli.condition_number", _failing_call(2, RuntimeError("bug"), calls))
+    cfg = ExperimentConfig(
+        inputs=[_SYM_SPEC], algorithms=("jacobi", "snbin"), budgets=(4,), seeds_per_run=1
+    ).validate()
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="bug"):
-        run_experiment(_memo_config())
+        run_experiment(cfg)
     assert threading.active_count() == threads
 
 
-def test_run_experiment_computes_cond_before_here_and_cond_after_on_one_other_thread(monkeypatch):
+def test_run_experiment_computes_small_cond_after_here_after_the_last_cell(monkeypatch):
+    # Order 20 stays on this thread and order 25 goes to the worker.
+    monkeypatch.setattr("equilibrate.cli._WORKER_MIN_ORDER", 21)
+    scaled = _record_scale(monkeypatch)
     calls = []
 
     def recording(m, cap):
-        calls.append((threading.get_ident(), m))
+        calls.append((threading.get_ident(), m, len(scaled)))
         return condition_number(m, cap=cap)
 
     monkeypatch.setattr("equilibrate.cli.condition_number", recording)
     cfg = _memo_config()
     run_experiment(cfg)
     here = threading.get_ident()
-    assert [m for ident, m in calls if ident == here] == [generate(spec) for spec in cfg.inputs]
-    assert len({ident for ident, _ in calls if ident != here}) == 1
+    mine = [(m, done) for ident, m, done in calls if ident == here]
+    theirs = [(ident, m) for ident, m, _ in calls if ident != here]
+    # Each input's cond_before as it loads, before its cells are scaled;
+    # then the order-20 input's 44 cond_after, once all 57 cells are scaled.
+    assert [m for m, _ in mine[:2]] == [generate(spec) for spec in cfg.inputs]
+    assert [done for _, done in mine[:2]] == [0, 44]
+    assert [(m.nrows, done) for m, done in mine[2:]] == [(20, 44 + 13)] * 44
+    assert len({ident for ident, _ in theirs}) == 1
+    assert [m.nrows for _, m in theirs] == [25] * 13
+
+
+def test_run_experiment_starts_no_thread_for_small_inputs(monkeypatch):
+    threads = threading.active_count()
+    calls = []
+
+    def recording(m, cap):
+        calls.append((threading.get_ident(), threading.active_count()))
+        return condition_number(m, cap=cap)
+
+    monkeypatch.setattr("equilibrate.cli.condition_number", recording)
+    run_experiment(_memo_config())
+    assert calls == [(threading.get_ident(), threads)] * (2 + 44 + 13)
 
 
 def test_run_experiment_scales_each_computed_cell_once(monkeypatch):
@@ -457,7 +509,7 @@ def test_run_experiment_scales_each_computed_cell_once(monkeypatch):
     assert [m.nrows for m in scaled] == [20] * 44 + [25] * 13
 
 
-def test_run_experiment_rows_survive_a_short_switch_interval():
+def test_run_experiment_rows_survive_a_short_switch_interval(cond_after_path):
     cfg = _memo_config()
     expected = _without_wall_time(run_experiment(cfg))
     result = []

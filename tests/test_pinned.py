@@ -7,7 +7,8 @@ digests pin:
 - the `left`/`right` bytes of every `TABLE` entry on four small corpus
   matrices;
 - the CSV report of `run_experiment` on the same four matrices, with
-  `wall_time` zeroed;
+  `wall_time` zeroed, and on one nonsymmetric matrix large enough that its
+  `cond_after` column is computed on the worker thread;
 - the `history` CSVs of `ssbin` (with its two comparison columns) and
   `snbin`;
 - the outputs of `ssbin`, `snbin` and `estimate_bx` on one symmetric
@@ -31,7 +32,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from equilibrate import _kernels
+from equilibrate import _kernels, cli
 from equilibrate.cli import ExperimentConfig, main, run_experiment
 from equilibrate.corpus import CorpusSpec, generate
 from equilibrate.diagnostics import TABLE
@@ -107,6 +108,8 @@ _PINNED_LARGE_EXACT = {
 }
 
 _PINNED_REPORT = "762f83d237092ce85b5222f4e18795608a925e7c9c1d6d93a7ceb347102330ba"
+
+_PINNED_WORKER_REPORT = "1dd27ff94b8d73e1a44486de7fa91ac2135838205f989e9a0aff1af83ae4c586"
 
 _PINNED_HISTORY = {
     "ssbin": "30b95f614cd447a2f2c8ba2546dd32c94d24bdc29cf9869d3355714ffda0eb76",
@@ -212,17 +215,30 @@ def test_exact_scalings_on_the_slab_path_are_pinned():
     assert digests == _PINNED_LARGE_EXACT
 
 
+def _report_digest(cfg, tmp_path):
+    rows = [dataclasses.replace(r, wall_time=0.0) for r in run_experiment(cfg.validate())]
+    path = tmp_path / "report.csv"
+    write_report(rows, "csv", path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_run_reports_are_pinned(tmp_path):
     cfg = ExperimentConfig(
         inputs=[_SPECS[family] for family in sorted(_SPECS)],
         algorithms=tuple(TABLE),
         budgets=(16, BUDGET),
         seeds_per_run=2,
-    ).validate()
-    rows = [dataclasses.replace(r, wall_time=0.0) for r in run_experiment(cfg)]
-    path = tmp_path / "report.csv"
-    write_report(rows, "csv", path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_REPORT
+    )
+    assert _report_digest(cfg, tmp_path) == _PINNED_REPORT
+
+
+def test_run_reports_on_the_worker_path_are_pinned(tmp_path):
+    spec = CorpusSpec("nonsymmetric_general", n=520, density=0.02, seed=15, scale_spread=2.0)
+    assert spec.n >= cli._WORKER_MIN_ORDER
+    cfg = ExperimentConfig(
+        inputs=[spec], algorithms=("snbin", "sk_exact", "inf_norm"), budgets=(8,), seeds_per_run=1
+    )
+    assert _report_digest(cfg, tmp_path) == _PINNED_WORKER_REPORT
 
 
 @pytest.mark.parametrize(
