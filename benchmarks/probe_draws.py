@@ -10,70 +10,17 @@ Records, for n in {640, 3000, 8000, 20000}:
   with the floor raised out of reach and ``ahead_*`` with it lowered to 0;
 - the median seconds of one `ProbeSource.normal(n)`.
 
-The result is stored under ``--label`` in a JSON file (by default
-``BENCH_probe_draws.json`` at the repository root), next to the runs already
-there, with a stamp naming the machine and the checkout. Run it once per
-checkout to compare them, for example:
+The result is stored with `harness.py` under ``--label`` in
+``BENCH_probe_draws.json``; with ``--src``, a parent checkout is measured
+alternately with this one, for example:
 
-    python3 benchmarks/probe_draws.py --label parent --src ../parent/src
-    python3 benchmarks/probe_draws.py --label change
+    python3 benchmarks/probe_draws.py --label change --src ../parent/src
 """
 
-import argparse
-import json
-import os
-import platform
-import statistics
-import subprocess
-import sys
-import time
-from importlib import metadata
-from pathlib import Path
+import harness
+from harness import ROW_FILL, SIZES, median_s
 
-ROOT = Path(__file__).resolve().parent.parent
-SIZES = (640, 3000, 8000, 20000)
 SWEEPS = 128
-ROW_FILL = 10
-
-
-def _commit(src):
-    def git(*args):
-        out = subprocess.run(
-            ["git", "-C", str(src), *args], capture_output=True, text=True, check=False
-        )
-        return out.stdout.strip() if out.returncode == 0 else None
-
-    return {
-        "commit": git("rev-parse", "HEAD"),
-        "uncommitted_src_changes": bool(git("status", "--porcelain", "--", ".")),
-    }
-
-
-def _version(dist):
-    try:
-        return metadata.version(dist)
-    except metadata.PackageNotFoundError:
-        return None
-
-
-def _stamp(src):
-    return {
-        "cores": os.cpu_count(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": _version("numpy"),
-        "scipy": _version("scipy"),
-        **_commit(src),
-    }
-
-
-def _median_s(fn, repeats):
-    times = []
-    for _ in range(repeats):
-        t = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t)
-    return statistics.median(times)
 
 
 def _operators(eq, n):
@@ -89,14 +36,15 @@ def _operators(eq, n):
 def _sweeps(eq, ops, repeats):
     sym_op, nonsym_op = ops
     return {
-        "ssbin_s": _median_s(lambda: eq.ssbin(sym_op, SWEEPS, eq.ProbeSource(3)), repeats),
-        "snbin_s": _median_s(lambda: eq.snbin(nonsym_op, SWEEPS, eq.ProbeSource(4)), repeats),
+        "ssbin_s": median_s(lambda: eq.ssbin(sym_op, SWEEPS, eq.ProbeSource(3)), repeats),
+        "snbin_s": median_s(lambda: eq.snbin(nonsym_op, SWEEPS, eq.ProbeSource(4)), repeats),
     }
 
 
-def measure(eq, repeats):
+def measure(eq, args):
     from equilibrate import stochastic
 
+    repeats = args.repeats
     floor = getattr(stochastic, "_AHEAD_FLOOR", None)
     out = {"sweeps": SWEEPS, "repeats": repeats, "ahead_floor": floor, "sizes": []}
     for n in SIZES:
@@ -105,7 +53,7 @@ def measure(eq, repeats):
         row = {
             "n": n,
             **_sweeps(eq, ops, repeats),
-            "normal_s": _median_s(lambda: source.normal(n), 20 * repeats),
+            "normal_s": median_s(lambda: source.normal(n), 20 * repeats),
         }
         # Both paths at every size, whichever one the floor picks.
         for path, forced in (("inline", 1 << 62), ("ahead", 0)) if floor is not None else ():
@@ -118,25 +66,5 @@ def measure(eq, repeats):
     return out
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="name of this run in the output file")
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="package source to measure")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_probe_draws.json")
-    parser.add_argument("--repeats", type=int, default=7)
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, str(args.src.resolve()))
-    import equilibrate as eq
-
-    run = {"stamp": _stamp(args.src), **measure(eq, args.repeats)}
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data.setdefault("benchmark", "probe_draws")
-    data.setdefault("runs", {})[args.label] = run
-    args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    for row in run["sizes"]:
-        print(row["n"], " ".join(f"{k}={v * 1e3:.2f}ms" for k, v in sorted(row.items()) if k != "n"))
-
-
 if __name__ == "__main__":
-    main()
+    harness.main(__file__, __doc__, lambda p: p.add_argument("--repeats", type=int, default=7))

@@ -5,7 +5,7 @@ with about ten entries per row:
 
 - the median seconds of one ``apply`` and one ``apply_transpose`` of
   `from_sparse`, on whichever path the package picks (``matvec_s``,
-  ``rmatvec_s``);
+  ``rmatvec_s``; ``slabs_chosen`` says which);
 - the median seconds of a `from_sparse` call with its first ``apply``, and
   of its first ``apply_transpose`` after it, on a matrix that no operator
   has multiplied yet (``first_apply_s``, ``first_apply_transpose_s``) and
@@ -24,37 +24,30 @@ entry of the longest row adds a slab, which is what the width bound guards.
 ``slabs_chosen`` says whether the package's products take the slabs there.
 
 Last, with slab layouts, ``exact`` holds the median seconds of
-`equilibrate_2norm` at n = 20000 on a nonsymmetric and an spd corpus matrix
-at budgets 4, 16 and 64: ``default_s`` on the path the package picks for
-the squared matrix (``slabs_chosen``), and ``scatter_s`` with
-`_kernels.wants_slabs` answering no, where the package decides its path
-through it.
+`equilibrate_2norm` at n = 3000 and 20000 on a nonsymmetric and an spd
+corpus matrix at budgets 4, 16 and 64: ``default_s`` on the path the
+package picks for the squared matrix (``slabs_chosen``), and ``scatter_s``
+with `_kernels.wants_slabs` answering no, where the package decides its
+path through it.
 
-Separate runs can land in different host phases, so compare checkouts by
-the ratios within a run (``slab_*`` to ``scatter_*``, ``default_s`` to
-``scatter_s``) rather than by absolute times across runs.
+The result is stored with `harness.py` under ``--label`` in
+``BENCH_products.json``; with ``--src``, a parent checkout is measured
+alternately with this one, for example:
 
-The result is stored under ``--label`` in a JSON file (by default
-``BENCH_products.json`` at the repository root), next to the runs already
-there, with a stamp naming the machine and the checkout. Run it once per
-checkout to compare them, for example:
-
-    python3 benchmarks/products.py --label parent --src ../parent/src
-    python3 benchmarks/products.py --label change
+    python3 benchmarks/products.py --label change --src ../parent/src
 """
 
-import argparse
-import json
+import itertools
 import statistics
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-from probe_draws import ROOT, ROW_FILL, SIZES, _median_s, _stamp
+import harness
+from harness import ROW_FILL, SIZES, median_s
 
 LONG_ROWS = (50, 100, 200, 400, 800)
+EXACT_SIZES = (3000, 20000)
 EXACT_BUDGETS = (4, 16, 64)
 
 
@@ -78,10 +71,10 @@ def _layout(kernels, m):
 def _paths(kernels, m, x, y, repeats):
     forward, transposed = _layout(kernels, m), _layout(kernels, m.transpose())
     return {
-        "scatter_matvec_s": _median_s(lambda: _scatter(m, x), repeats),
-        "scatter_rmatvec_s": _median_s(lambda: _scatter(m, y, transpose=True), repeats),
-        "slab_matvec_s": _median_s(lambda: forward.product(x), repeats),
-        "slab_rmatvec_s": _median_s(lambda: transposed.product(y), repeats),
+        "scatter_matvec_s": median_s(lambda: _scatter(m, x), repeats),
+        "scatter_rmatvec_s": median_s(lambda: _scatter(m, y, transpose=True), repeats),
+        "slab_matvec_s": median_s(lambda: forward.product(x), repeats),
+        "slab_rmatvec_s": median_s(lambda: transposed.product(y), repeats),
     }
 
 
@@ -95,22 +88,21 @@ def _slabs_chosen(eq, m):
 
 def _exact(eq, kernels, repeats):
     rows = []
-    for family in ("nonsymmetric_general", "spd"):
-        n = SIZES[-1]
+    for family, n in itertools.product(("nonsymmetric_general", "spd"), EXACT_SIZES):
         m = eq.generate(
             eq.CorpusSpec(family, n=n, density=ROW_FILL / n, seed=2, scale_spread=2.0)
         )
+        squared = eq.elementwise_square(m)
+        squared.matvec(np.ones(n))
         for budget in EXACT_BUDGETS:
             opts = eq.ExactOptions(max_iters=budget)
             row = {"family": family, "n": n, "nnz": m.nnz, "budget": budget}
-            squared = eq.elementwise_square(m)
-            squared.matvec(np.ones(n))
             row["slabs_chosen"] = bool(squared._slabs)
-            row["default_s"] = _median_s(lambda: eq.equilibrate_2norm(m, opts), repeats)
+            row["default_s"] = median_s(lambda: eq.equilibrate_2norm(m, opts), repeats)
             wants_slabs = kernels.wants_slabs
             kernels.wants_slabs = lambda m: False
             try:
-                row["scatter_s"] = _median_s(lambda: eq.equilibrate_2norm(m, opts), repeats)
+                row["scatter_s"] = median_s(lambda: eq.equilibrate_2norm(m, opts), repeats)
             finally:
                 kernels.wants_slabs = wants_slabs
             rows.append(row)
@@ -134,13 +126,13 @@ def _first_and_later(eq, m, x, y, repeats):
     return {k: statistics.median(v) for k, v in times.items()}
 
 
-def measure(eq, repeats):
+def measure(eq, args):
     from equilibrate import _kernels
 
+    repeats = args.repeats
     slabs = hasattr(_kernels, "_Layout")
     out = {
         "repeats": repeats,
-        "slab_floor": getattr(_kernels, "SLAB_FLOOR", None),
         "slab_min_width": getattr(_kernels, "SLAB_MIN_WIDTH", None),
         "sizes": [],
     }
@@ -153,14 +145,15 @@ def measure(eq, repeats):
         row = {
             "n": n,
             "nnz": m.nnz,
-            "matvec_s": _median_s(lambda: op.apply(x), repeats),
-            "rmatvec_s": _median_s(lambda: op.apply_transpose(y), repeats),
+            "matvec_s": median_s(lambda: op.apply(x), repeats),
+            "rmatvec_s": median_s(lambda: op.apply_transpose(y), repeats),
+            "slabs_chosen": bool(m._slabs),
             **_first_and_later(eq, m, x, y, repeats // 5),
         }
         if slabs:
             row.update(_paths(_kernels, m, x, y, repeats))
-            row["build_s"] = _median_s(lambda: _layout(_kernels, m), repeats // 5)
-            row["build_transposed_s"] = _median_s(
+            row["build_s"] = median_s(lambda: _layout(_kernels, m), repeats // 5)
+            row["build_transposed_s"] = median_s(
                 lambda: _layout(_kernels, m.transpose()), repeats // 5
             )
         out["sizes"].append(row)
@@ -185,30 +178,5 @@ def measure(eq, repeats):
     return out
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="name of this run in the output file")
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="package source to measure")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_products.json")
-    parser.add_argument("--repeats", type=int, default=51)
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, str(args.src.resolve()))
-    import equilibrate as eq
-
-    run = {"stamp": _stamp(args.src), **measure(eq, args.repeats)}
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data.setdefault("benchmark", "products")
-    data.setdefault("runs", {})[args.label] = run
-    args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    for row in run["sizes"] + run.get("long_rows", []) + run.get("exact", []):
-        print(
-            " ".join(
-                f"{k}={v * 1e6:.0f}us" if k.endswith("_s") else f"{k}={v}"
-                for k, v in sorted(row.items())
-            )
-        )
-
-
 if __name__ == "__main__":
-    main()
+    harness.main(__file__, __doc__, lambda p: p.add_argument("--repeats", type=int, default=51))

@@ -8,8 +8,8 @@ which of two paths all its products take; both give the same bits:
   multiply by the values, and sum into the other index array with
   ``np.bincount``. A matrix with no stored entries makes ``np.bincount``
   return integer zeros, hence the (otherwise copy-free) cast to float64.
-- **Slabs** (matrices with at least `SLAB_FLOOR` stored entries, and no row
-  or column long enough to make the slabs narrow): a jagged-diagonal layout
+- **Slabs** (matrices with no row or column long enough to make the slabs
+  narrower than `SLAB_MIN_WIDTH` entries on average): a jagged-diagonal layout
   (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., section
   3.4). Rows are ordered by decreasing stored length, and slab k holds the
   k-th stored entry of every row longer than k. A product gathers and
@@ -36,14 +36,12 @@ import threading
 
 import numpy as np
 
-# Matrices with at least this many stored entries multiply through slabs.
-# Below it the per-slab loop and the build cost more than the scatter; see
-# benchmarks/products.py and BENCH_products.json.
-SLAB_FLOOR = 1 << 15
 # Each slab costs a few microseconds of loop overhead, so a matrix whose
 # slabs would hold fewer entries than this on average stays on the scatter.
 # The longest row sets the number of slabs of M, the longest column that of
-# M.T: one long row or column makes one slab per entry.
+# M.T: one long row or column makes one slab per entry. With about ten
+# entries per row this keeps n = 640 on the scatter and sends n = 3000 to
+# the slabs; see benchmarks/products.py and BENCH_products.json.
 SLAB_MIN_WIDTH = 1 << 10
 
 # One build of each layout, however many threads ask for it at once.
@@ -52,7 +50,7 @@ _build = threading.Lock()
 
 def wants_slabs(m):
     """Whether the products of SparseMatrix m should go through slab layouts."""
-    if m.nnz < SLAB_FLOOR:
+    if not m.nnz:  # no entries, and no longest row or column
         return False
     longest = max(np.diff(m.indptr).max(), np.bincount(m.indices).max())
     return int(longest) * SLAB_MIN_WIDTH <= m.nnz
@@ -123,11 +121,11 @@ class _Layout:
     with more than k entries. ``inverse[i]`` is the place of row i in it.
     A run is as many consecutive slabs as fit in one entry per row (at
     least one). ``_runs`` holds each run's ``index`` and ``value`` and its
-    slabs, and ``_slabs`` all slabs in order: each pairs its prefix with
-    its entries, counted from the start of its run.
+    slabs: each pairs its prefix with its entries, counted from the start
+    of its run.
     """
 
-    __slots__ = ("index", "value", "inverse", "_slabs", "_runs")
+    __slots__ = ("index", "value", "inverse", "_runs")
 
     def __init__(self, lengths, rows, cols, vals, order=None):
         """Lay out entry p, ``vals[p]`` in row ``rows[p]`` and column
@@ -162,14 +160,13 @@ class _Layout:
             a.setflags(write=False)
         self.index, self.value, self.inverse = index, value, inverse
         edges = bounds.tolist()
-        self._slabs, self._runs = [], []
+        self._runs = []
         first, run = 0, []  # the current run's first entry and its slabs
         for k, w in enumerate(widths.tolist()):
             run.append((slice(0, w), slice(edges[k] - first, edges[k + 1] - first)))
             if k + 2 == len(edges) or edges[k + 2] - first > n:
                 entries = slice(first, edges[k + 1])
                 self._runs.append((index[entries], value[entries], run))
-                self._slabs += run
                 first, run = edges[k + 1], []
 
     def product(self, x):

@@ -269,7 +269,7 @@ def test_linear_operator_from_callables():
     np.testing.assert_array_equal(op.apply_transpose(np.array([2.0, 4.0])), [1.0, 2.0])
 
 
-# Slab products. Matrices above `_kernels.SLAB_FLOOR` multiply through a
+# Slab products. Matrices that `_kernels.wants_slabs` multiply through a
 # jagged-diagonal layout; their products must equal the `np.bincount`
 # scatter products bit for bit, compared as int64 views so that -0.0 and
 # +0.0 differ.
@@ -334,9 +334,17 @@ def test_slab_products_match_on_every_corpus_family(rng, layout_builds, family, 
     _assert_slab_products_are_scatter_products(m, rng, layout_builds)
 
 
+def test_slab_products_match_below_2_to_the_15_entries(rng, layout_builds):
+    # About ten entries per row are wide enough slabs at 3e4 entries, where
+    # a size floor of 2^15 entries used to keep the scatter.
+    m = generate(CorpusSpec("nonsymmetric_general", n=3000, density=10 / 3000, seed=2))
+    assert m.nnz < 1 << 15
+    _assert_slab_products_are_scatter_products(m, rng, layout_builds)
+
+
 def test_slab_products_match_on_a_rectangular_operator(rng, layout_builds):
     m = random_sparse(rng, 2500, 4000, density=0.004)
-    assert m.nrows != m.ncols and m.nnz >= _kernels.SLAB_FLOOR
+    assert m.nrows != m.ncols
     _assert_slab_products_are_scatter_products(m, rng, layout_builds)
 
 
@@ -371,7 +379,8 @@ def test_slab_products_match_with_one_long_row(rng, layout_builds):
     cols = np.concatenate([rng.integers(0, n, size=3 * n), rng.choice(n, 100, replace=False)])
     m = SparseMatrix.from_coo(n, n, rows, cols, rng.standard_normal(rows.size))
     _assert_slab_products_are_scatter_products(m, rng, layout_builds)
-    assert len(m._slabs[0]._slabs) == np.diff(m.indptr).max() >= 100
+    slabs = sum(len(run) for _, _, run in m._slabs[0]._runs)
+    assert slabs == np.diff(m.indptr).max() >= 100
     # Ten times longer, the row would cost more in slab loops than the
     # scatter costs, so the matrix keeps the scatter; so would a long
     # column, for the transposed products.
@@ -380,7 +389,7 @@ def test_slab_products_match_with_one_long_row(rng, layout_builds):
     longer = SparseMatrix.from_coo(n, n, rows, cols, np.ones(rows.size))
     x = rng.standard_normal(n)
     for k in (longer, longer.transpose()):
-        assert k.nnz >= _kernels.SLAB_FLOOR and not _kernels.wants_slabs(k)
+        assert not _kernels.wants_slabs(k)
         np.testing.assert_array_equal(_bits(k.matvec(x)), _bits(_scatter(k, x)))
         np.testing.assert_array_equal(_bits(k.rmatvec(x)), _bits(_scatter(k, x, True)))
         assert k._slabs == ()
