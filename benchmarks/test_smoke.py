@@ -102,6 +102,7 @@ def test_harness_alternates_sides_and_keeps_earlier_runs(tmp_path):
 
 
 TINY = {
+    "matrix_market": ({"SIZE": "tiny"}, {"repeats": 1}),
     "probe_draws": ({"SIZES": (200,), "SWEEPS": 4}, {"repeats": 1}),
     "products": (
         {"SIZES": (300,), "LONG_ROWS": (5,), "EXACT_SIZES": (300,), "EXACT_BUDGETS": (2,)},
@@ -134,6 +135,8 @@ def test_measurement_runs_at_a_tiny_size(script, monkeypatch):
     if script == "products":
         assert [row["n"] for row in result["exact"]] == [300, 300]
         assert "slab_floor" not in result and "slabs_chosen" in result["sizes"][0]
+    if script == "matrix_market":
+        assert result["general"]["nnz"] > 0 and result["symmetric"]["nnz"] > 0
     if script == "condition_numbers":
         assert set(result["run_experiment"]["scale_wall_s"]) == {"30", "40"}
         assert [row["n"] for row in result["gil"]] == [None, 40]

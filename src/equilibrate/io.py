@@ -22,6 +22,7 @@ from equilibrate.matrix import SparseMatrix
 
 _BANNER = "%%MatrixMarket"
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+_CHUNK = 1 << 14  # entries the writer formats at once
 
 
 def read_matrix_market(path):
@@ -167,8 +168,17 @@ def write_matrix_market(m, path, symmetric=False, comment=None):
     """Write a SparseMatrix as Matrix Market coordinate real.
 
     With symmetric=True the matrix must be symmetric and only the lower
-    triangle is stored under the 'symmetric' header.
+    triangle is stored under the 'symmetric' header. Values are written as
+    their `repr`, so they read back bitwise. A nan or infinite value, which
+    the reader rejects, raises MatrixMarketError naming its 1-based
+    (row, col) before the file is opened.
     """
+    finite = np.isfinite(m.data)
+    if not finite.all():
+        k = np.argmin(finite)
+        raise MatrixMarketError(
+            f"non-finite value {float(m.data[k])!r} at ({m.rows[k] + 1}, {m.indices[k] + 1})"
+        )
     if symmetric and not m.is_symmetric():
         raise MatrixMarketError("symmetric=True requires a symmetric matrix")
     kind = "symmetric" if symmetric else "general"
@@ -183,8 +193,16 @@ def write_matrix_market(m, path, symmetric=False, comment=None):
         else:
             rows, cols, vals = m.rows, m.indices, m.data
         fh.write(f"{m.nrows} {m.ncols} {len(vals)}\n")
-        for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-            fh.write(f"{i + 1} {j + 1} {v!r}\n")
+        # One `%` operation formats a chunk of lines; `%r` is the float
+        # `repr`. Chunks bound the Python lists to _CHUNK entries each.
+        for start in range(0, len(vals), _CHUNK):
+            part = slice(start, start + _CHUNK)
+            k = len(vals[part])
+            flat = [0] * (3 * k)
+            flat[0::3] = (rows[part] + 1).tolist()
+            flat[1::3] = (cols[part] + 1).tolist()
+            flat[2::3] = vals[part].tolist()
+            fh.write("%d %d %r\n" * k % tuple(flat))
 
 
 @dataclass

@@ -1,11 +1,13 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
 
 from equilibrate.errors import MatrixMarketError
 from equilibrate.io import (
+    _CHUNK,
     REPORT_FIELDS,
     RunReport,
     read_matrix_market,
@@ -210,6 +212,50 @@ def test_count_mismatch_message(tmp_path):
     )
     with pytest.raises(MatrixMarketError, match="promised 3 entries, file holds 1"):
         read_matrix_market(p)
+
+
+def _per_line_text(m):
+    """The file text as a writer formatting one entry per line writes it."""
+    lines = [
+        "%%MatrixMarket matrix coordinate real general\n",
+        f"{m.nrows} {m.ncols} {m.nnz}\n",
+    ]
+    for i, j, v in zip(m.rows.tolist(), m.indices.tolist(), m.data.tolist()):
+        lines.append(f"{i + 1} {j + 1} {v!r}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("nnz", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_chunk_boundaries_write_the_per_line_text(tmp_path, rng, nnz):
+    n = 200
+    flat = rng.choice(n * n, nnz, replace=False)
+    vals = rng.standard_normal(nnz) * 10.0 ** rng.uniform(-300, 300, nnz)
+    m = SparseMatrix.from_coo(n, n, flat // n, flat % n, vals)
+    assert m.nnz == nnz
+    p = tmp_path / "c.mtx"
+    write_matrix_market(m, p)
+    assert p.read_text() == _per_line_text(m)
+    back = read_matrix_market(p)
+    assert back == m
+    np.testing.assert_array_equal(back.data.view(np.int64), m.data.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "dense, symmetric, where",
+    [
+        ([[1.0, 2.0], [math.nan, 4.0]], False, "(2, 1)"),
+        ([[1.0, 0.0, math.inf], [0.0, 2.0, 0.0], [math.inf, 0.0, 3.0]], True, "(1, 3)"),
+        ([[1.0, 0.0], [0.0, -math.inf]], True, "(2, 2)"),
+    ],
+    ids=["general-nan", "symmetric-inf", "symmetric-diagonal"],
+)
+def test_writer_refuses_non_finite_values(tmp_path, dense, symmetric, where):
+    m = SparseMatrix.from_dense(dense)
+    p = tmp_path / "nonfinite.mtx"
+    message = f"^non-finite value -?(nan|inf) at {re.escape(where)}$"
+    with pytest.raises(MatrixMarketError, match=message):
+        write_matrix_market(m, p, symmetric=symmetric)
+    assert not p.exists()
 
 
 def _sample_reports():

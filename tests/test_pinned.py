@@ -18,12 +18,17 @@ digests pin:
   through the first operator over each matrix and through a later one,
   which reuses the layouts kept with the matrix;
 - `sk_exact` on that nonsymmetric matrix and `sym_sk_exact` on the
-  symmetric one, whose squared matrices take slab products too.
+  symmetric one, whose squared matrices take slab products too;
+- the bytes of Matrix Market files as `write_matrix_market` and `gen`
+  write them: general with a comment, symmetric, more entries than the
+  writer formats at once, no stored entries, and values at the edges of
+  float `repr` (1e16, 1e-5, the smallest subnormal, -1.797e308).
 
 What moves the digests: numpy's PCG64 streams (the corpus generator and the
-probe source), float64 arithmetic, including the order of every sum, and
-LAPACK for the `cond_*` report columns. A change that means to move them
-updates the digests here and says what moved and why.
+probe source), float64 arithmetic, including the order of every sum,
+LAPACK for the `cond_*` report columns, and Python's float `repr` for the
+Matrix Market files. A change that means to move them updates the digests
+here and says what moved and why.
 """
 
 import dataclasses
@@ -251,3 +256,70 @@ def test_histories_are_pinned(tmp_path, algorithm, family):
     argv = ["history", "--matrix", str(mtx), "--alg", algorithm, "--nmv", str(BUDGET)]
     assert main([*argv, "--seeds", "2", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_HISTORY[algorithm]
+
+
+_PINNED_WRITTEN = {
+    "general_comment": "482f5692ac350c601303261668deeac4bda1287d28f00dce0536744698a533ad",
+    "symmetric": "262554e2909076117088ce37791a805be8b7fa698e88c43111bc98bf56ef9ec7",
+    "chunks": "7afb4cf66d68f4b104e3d100efca7ccac0997edcddd5efc309750b1736509f03",
+    "no_entries": "e87362c11d719150bca1f5ddd5eff6961523dea876b787b5723c80e80fce45d7",
+    "edge_values": "a511368b42a328dfd228d4eb0b66ae35bd78f8ffaf0107bba3f35719228c0457",
+}
+
+_PINNED_GEN = {
+    "permutation_plus_noise_n50_d0.05_sp2_s16.mtx": (
+        "fc13eae75e569b6e2531e049d9bbf73a624da64caacd921e02cfb341f7a1b691"
+    ),
+    "symmetric_indefinite_n70_d0.07_sp2_s12.mtx": (
+        "a2fd17239a758f3babea919482c65ae19e71eeabc899022ae3cbf6f62329460f"
+    ),
+}
+
+_EDGE_VALUES = [1e16, 1e-5, 5e-324, -1.797e308, 0.1, 123456789.0]
+
+
+def _chunks_matrix():
+    # More entries than the writer formats in one chunk (2^14), with values
+    # spread over six decades as in the structure_io workload.
+    n, nnz = 3000, 40000
+    rng = np.random.default_rng(2026)
+    vals = rng.standard_normal(nnz) * 10.0 ** rng.uniform(-3, 3, nnz)
+    return SparseMatrix.from_coo(n, n, rng.integers(0, n, nnz), rng.integers(0, n, nnz), vals)
+
+
+def _written_digests(tmp_path):
+    empty = np.zeros(0, dtype=np.int64)
+    cases = {
+        "general_comment": (
+            generate(_SPECS["nonsymmetric_general"]),
+            {"comment": "pinned general file\nsecond comment line"},
+        ),
+        "symmetric": (generate(_SPECS["spd"]), {"symmetric": True}),
+        "chunks": (_chunks_matrix(), {}),
+        "no_entries": (SparseMatrix.from_coo(3, 4, empty, empty, np.zeros(0)), {}),
+        "edge_values": (SparseMatrix.from_dense(np.diag(_EDGE_VALUES)), {}),
+    }
+    out = {}
+    for name, (m, kwargs) in cases.items():
+        path = tmp_path / f"{name}.mtx"
+        write_matrix_market(m, path, **kwargs)
+        out[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def test_written_matrix_market_files_are_pinned(tmp_path):
+    assert _written_digests(tmp_path) == _PINNED_WRITTEN
+
+
+def test_gen_files_are_pinned(tmp_path):
+    spec = tmp_path / "corpus.spec"
+    spec.write_text(
+        "family=symmetric_indefinite n=70 density=0.07 seed=12 scale_spread=2\n"
+        "family=permutation_plus_noise n=50 density=0.05 seed=16 scale_spread=2\n"
+    )
+    assert main(["gen", "--spec", str(spec), "--out-dir", str(tmp_path / "gen")]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted((tmp_path / "gen").glob("*.mtx"))
+    }
+    assert digests == _PINNED_GEN
