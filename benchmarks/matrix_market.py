@@ -29,13 +29,13 @@ from workloads import StructureIO, _quiet  # noqa: E402
 
 SEED = 1701
 SIZE = "full"
+REPEATS = 7
 
 
 def measure(eq, args):
     from equilibrate import cli
 
-    repeats = args.repeats
-    out = {"seed": SEED, "size": SIZE, "repeats": repeats}
+    out = {"seed": SEED, "size": SIZE, "repeats": REPEATS}
     with tempfile.TemporaryDirectory() as tmp:
         workload = StructureIO(eq, SEED, SIZE, tmp)
         workload.setup()
@@ -46,19 +46,19 @@ def measure(eq, args):
             path = Path(tmp) / f"{label}.mtx"
             out[label] = {
                 "nnz": m.nnz,
-                "write_s": median_s(lambda: eq.write_matrix_market(m, path, symmetric), repeats),
-                "read_s": median_s(lambda: eq.read_matrix_market(path), repeats),
+                "write_s": median_s(lambda: eq.write_matrix_market(m, path, symmetric), REPEATS),
+                "read_s": median_s(lambda: eq.read_matrix_market(path), REPEATS),
                 "file_mb": path.stat().st_size / 1e6,
             }
             if eq.read_matrix_market(path) != m:
                 raise AssertionError(f"{label}: the file does not read back as written")
         argv = ["gen", "--spec", str(workload.spec), "--out-dir", str(Path(tmp) / "gen")]
         codes = []
-        out["gen_s"] = median_s(lambda: codes.append(_quiet(cli.main, argv)[0]), repeats)
+        out["gen_s"] = median_s(lambda: codes.append(_quiet(cli.main, argv)[0]), REPEATS)
         if set(codes) != {0}:
             raise AssertionError(f"gen exited {codes}")
     return out
 
 
 if __name__ == "__main__":
-    harness.main(__file__, __doc__, lambda p: p.add_argument("--repeats", type=int, default=7))
+    harness.main(__file__, __doc__)

@@ -102,7 +102,7 @@ def test_harness_alternates_sides_and_keeps_earlier_runs(tmp_path):
 
 
 TINY = {
-    "matrix_market": ({"SIZE": "tiny"}, {"repeats": 1}),
+    "matrix_market": ({"SIZE": "tiny", "REPEATS": 1}, {}),
     "probe_draws": ({"SIZES": (200,), "SWEEPS": 4}, {"repeats": 1}),
     "products": (
         {"SIZES": (300,), "LONG_ROWS": (5,), "EXACT_SIZES": (300,), "EXACT_BUDGETS": (2,)},
