@@ -7,15 +7,24 @@ Records two things.
   runs `condition_number` on an order-n nonsymmetric corpus matrix in a
   loop (``loop_per_s``), the longest gap between two of its iterations
   (``longest_gap_s``) and the median seconds of one condition number
-  (``cond_s``). The row with ``n`` null has no second thread. Where numpy
-  holds the GIL through the SVD, the loop stops for the length of each
-  one; this is the threshold behind `cli._WORKER_MIN_ORDER`.
+  (``cond_s``). Rows with ``count`` above 1 run `condition_numbers` on a
+  stack of ``count`` such matrices instead, for (count, n) in {(2, 250),
+  (2, 251), (2, 400)}; a package without that function has none. The row
+  with ``n`` null has no second thread. Where numpy holds the GIL through
+  the SVD, the loop stops for the length of each one. numpy 2.4.6 holds it
+  unless count x n exceeds 500; this is the threshold behind
+  `cli._WORKER_MIN_ORDER` and the calling thread's stacks.
 - ``run_experiment``: `run_experiment` on a config shaped like the
   batch_run workload (spd n = 400, nonsymmetric n = 640 and a symmetric
   n = 3000 file read from disk, six algorithms, budgets 32/64/128, three
   seeds), timed after one warm-up run. It records ``wall_s``, the calling
   thread's CPU seconds (``cpu_s``), the seconds of condition numbers on
-  each thread (``cond_here_s``, ``cond_worker_s``), and per input order
+  each thread (``cond_here_s``, ``cond_worker_s``; stacked calls count on
+  the calling thread), the worker's CPU seconds in them
+  (``cond_worker_cpu_s``), its idle seconds (``worker_idle_s``: its wall
+  time from the first submit to the end of its last condition number,
+  minus ``cond_worker_cpu_s``, so that waits for the GIL inside a call
+  count as well as gaps between calls), and per input order
   the wall and CPU seconds of the calling thread's cell scalings
   (``scale_wall_s``, ``scale_cpu_s``): a scaling stalled by an SVD that
   holds the GIL on another thread takes more wall time than CPU time.
@@ -39,6 +48,7 @@ import harness
 from harness import ROW_FILL
 
 GIL_SIZES = (400, 500, 501, 640)
+GIL_STACKS = ((2, 250), (2, 251), (2, 400))  # (count, n)
 LOOP_SIZE = 5000
 # The config's corpus inputs and the spec of its matrix file.
 CORPUS = (
@@ -81,12 +91,19 @@ def _loop_rate(fn, seconds):
 
 
 def measure_gil(eq, seconds):
-    rows = [{"n": None, **_loop_rate(None, seconds)}]
-    for n in GIL_SIZES:
-        m = eq.generate(
-            eq.CorpusSpec("nonsymmetric_general", n=n, density=ROW_FILL / n, seed=2, scale_spread=2.0)
+    def matrix(n, seed):
+        return eq.generate(
+            eq.CorpusSpec("nonsymmetric_general", n=n, density=ROW_FILL / n, seed=seed, scale_spread=2.0)
         )
-        rows.append({"n": n, **_loop_rate(lambda: eq.condition_number(m), seconds)})
+
+    rows = [{"n": None, "count": None, **_loop_rate(None, seconds)}]
+    for n in GIL_SIZES:
+        m = matrix(n, 2)
+        rows.append({"n": n, "count": 1, **_loop_rate(lambda: eq.condition_number(m), seconds)})
+    condition_numbers = getattr(eq.diagnostics, "condition_numbers", None)
+    for count, n in GIL_STACKS if condition_numbers is not None else ():
+        stack = [matrix(n, 2 + k) for k in range(count)]
+        rows.append({"n": n, "count": count, **_loop_rate(lambda: condition_numbers(stack), seconds)})
     return rows
 
 
@@ -113,40 +130,69 @@ def measure_run(config):
     from equilibrate import cli
 
     here = threading.get_ident()
-    cond = {"here": 0.0, "worker": 0.0}
+    cond = {"here": 0.0, "worker": 0.0, "worker_cpu": 0.0}
+    worker = {"first_submit": None, "last_end": None}
     scaling = {}
-    condition_number, scale_cell = cli.condition_number, cli._scale_cell
+    originals = {
+        name: getattr(cli, name)
+        for name in ("condition_number", "condition_numbers", "_scale_cell", "ThreadPoolExecutor")
+        if hasattr(cli, name)
+    }
 
-    def timed_cond(m, cap):
-        t = time.perf_counter()
-        try:
-            return condition_number(m, cap=cap)
-        finally:
-            cond["here" if threading.get_ident() == here else "worker"] += time.perf_counter() - t
+    def timed(fn):
+        def call(*args, **kwargs):
+            t, c = time.perf_counter(), time.thread_time()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                end = time.perf_counter()
+                if threading.get_ident() == here:
+                    cond["here"] += end - t
+                else:
+                    cond["worker"] += end - t
+                    cond["worker_cpu"] += time.thread_time() - c
+                    worker["last_end"] = end
+
+        return call
+
+    class Executor(originals["ThreadPoolExecutor"]):
+        def submit(self, *args, **kwargs):
+            if worker["first_submit"] is None:
+                worker["first_submit"] = time.perf_counter()
+            return super().submit(*args, **kwargs)
 
     def timed_scale(row, m, alg):
         t, c = time.perf_counter(), time.thread_time()
         try:
-            return scale_cell(row, m, alg)
+            return originals["_scale_cell"](row, m, alg)
         finally:
             wall, cpu = scaling.setdefault(str(m.nrows), [0.0, 0.0])
             scaling[str(m.nrows)] = [wall + time.perf_counter() - t, cpu + time.thread_time() - c]
 
     cfg = cli.parse_config(config)
     cli.run_experiment(cfg)
-    cli.condition_number, cli._scale_cell = timed_cond, timed_scale
+    for name in ("condition_number", "condition_numbers"):
+        if name in originals:
+            setattr(cli, name, timed(originals[name]))
+    cli._scale_cell, cli.ThreadPoolExecutor = timed_scale, Executor
     try:
         t, c = time.perf_counter(), time.thread_time()
         rows = cli.run_experiment(cfg)
         wall, cpu = time.perf_counter() - t, time.thread_time() - c
     finally:
-        cli.condition_number, cli._scale_cell = condition_number, scale_cell
+        for name, value in originals.items():
+            setattr(cli, name, value)
     assert all(r.status == "ok" for r in rows)
+    idle = None
+    if worker["last_end"] is not None:
+        idle = worker["last_end"] - worker["first_submit"] - cond["worker_cpu"]
     return {
         "wall_s": wall,
         "cpu_s": cpu,
         "cond_here_s": cond["here"],
         "cond_worker_s": cond["worker"],
+        "cond_worker_cpu_s": cond["worker_cpu"],
+        "worker_idle_s": idle,
         "scale_wall_s": {n: w for n, (w, _) in scaling.items()},
         "scale_cpu_s": {n: c for n, (_, c) in scaling.items()},
     }

@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PAIRS = 5
+PAIRS = 10
 # The sizes of the product and probe-draw benchmarks, about ten entries per row.
 SIZES = (640, 3000, 8000, 20000)
 ROW_FILL = 10

@@ -111,6 +111,7 @@ TINY = {
     "condition_numbers": (
         {
             "GIL_SIZES": (40,),
+            "GIL_STACKS": ((2, 20),),
             "CORPUS": ("family=spd n=30 density=0.2 seed=1 scale_spread=2",),
             "FILE_SPEC": {"family": "symmetric_indefinite", "n": 40, "density": 0.2, "seed": 3},
             "ALGORITHMS": ("snbin", "jacobi"),
@@ -130,6 +131,9 @@ def test_measurement_runs_at_a_tiny_size(script, monkeypatch):
     constants, settings = TINY[script]
     for name, value in constants.items():
         monkeypatch.setattr(module, name, value)
+    if script == "condition_numbers":
+        # The order-40 file input's cond_after go to the worker, order 30's stay here.
+        monkeypatch.setattr("equilibrate.cli._WORKER_MIN_ORDER", 35)
     result = module.measure(equilibrate, argparse.Namespace(**settings))
     assert json.loads(json.dumps(result)) == result
     if script == "products":
@@ -139,5 +143,8 @@ def test_measurement_runs_at_a_tiny_size(script, monkeypatch):
         assert result["general"]["nnz"] > 0 and result["symmetric"]["nnz"] > 0
     if script == "condition_numbers":
         assert set(result["run_experiment"]["scale_wall_s"]) == {"30", "40"}
-        assert [row["n"] for row in result["gil"]] == [None, 40]
+        assert [(row["n"], row["count"]) for row in result["gil"]] == [(None, None), (40, 1), (20, 2)]
+        run = result["run_experiment"]
+        assert run["cond_here_s"] > 0.0 and run["cond_worker_s"] > 0.0
+        assert run["worker_idle_s"] >= 0.0
 

@@ -8,12 +8,16 @@ status is 0 on full success, 1 when any per-matrix cell failed, 2 on
 configuration problems and on any other package error that stops the
 command.
 
-``run`` loads and measures each input on the calling thread. A cell's
-cond_after on an input of order 501 or more goes to one background thread,
-which overlaps it with the scaling of the next cells and costs a few MB of
-resident memory. numpy holds the GIL through the SVD of a smaller matrix,
-so those would stop the calling thread anyway; they run on it after the
-last cell is scaled. A cell's ``wall_time`` covers its scaling only.
+``run`` loads and measures each input on the calling thread, in config
+order. numpy releases the GIL for an SVD stack whose count x order exceeds
+500, and never for one matrix of order 500 or less. A cell's cond_after on
+an input of order 501 or more goes to one background thread, which
+overlaps it with the scaling of the next cells and costs a few MB of
+resident memory; those inputs are scaled first. Smaller inputs are held
+and scaled after them, and their cond_after run on the calling thread
+after the last cell, in stacks of ceil(501 / order) matrices of one order,
+so that no SVD holds the GIL while the background thread has work. A
+cell's ``wall_time`` covers its scaling only.
 """
 
 import argparse
@@ -23,7 +27,6 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 from equilibrate.corpus import CorpusSpec, generate, parse_spec_line, read_spec_file, spec_name
@@ -31,6 +34,7 @@ from equilibrate.diagnostics import (
     CONDITION_SIZE_CAP,
     TABLE,
     condition_number,
+    condition_numbers,
     convergence_history,
     ratio,
 )
@@ -51,9 +55,10 @@ ALGORITHMS = tuple(TABLE)
 # What a bad matrix can raise inside a cell; np.linalg.LinAlgError is a
 # ValueError. Anything else is a bug and aborts the batch.
 CELL_ERRORS = (EquilibrateError, ValueError, FloatingPointError)
-# The smallest order whose dense SVD releases the GIL (numpy 2.4.6 holds it
-# through a square SVD of order 500 or less): run_experiment hands only
-# these condition numbers to its worker thread.
+# numpy 2.4.6 releases the GIL for an SVD stack whose count x order exceeds
+# 500, so one matrix needs this order. run_experiment hands the condition
+# numbers of these orders to its worker thread and computes the others in
+# stacks of ceil(_WORKER_MIN_ORDER / order) matrices.
 _WORKER_MIN_ORDER = 501
 
 
@@ -200,21 +205,54 @@ def run_experiment(cfg):
     (matrix, algorithm, nmv, seed), and everything except wall_time is a
     pure function of the config.
 
-    cond_before is computed on this thread. cond_after is computed on the
-    scaled matrix ratio_after was measured on. For an input of order
-    _WORKER_MIN_ORDER or more it runs on one worker thread while this
-    thread scales the next cells. numpy holds the GIL through the SVD of a
-    smaller matrix, which would stop this thread just the same, so those
-    run here after the last cell is scaled, while the worker finishes the
-    large ones. wall_time covers the scaling only.
+    Inputs are loaded and measured on this thread in config order.
+    cond_after is computed on the scaled matrix ratio_after was measured
+    on. numpy releases the GIL for an SVD stack whose count x order exceeds
+    500, never for one matrix of order 500 or less. So for an input of
+    order _WORKER_MIN_ORDER or more, each cond_after runs on one worker
+    thread while this thread scales the next cells, and those inputs are
+    scaled first. An input of smaller order is held until they are done,
+    then scaled; its cond_after run here after the last cell, in stacks of
+    ceil(_WORKER_MIN_ORDER / order) matrices of one order, while the worker
+    finishes. wall_time covers the scaling only.
     """
     reports = []
-    here, there = [], []  # (row, callable returning its cond_after)
-    copies = []  # (computed row, budget, seed)
-    cond = partial(condition_number, cap=cfg.cond_cap)
+    # Per input, so that rows of equal sort keys keep config order whatever
+    # order the inputs are scaled in: (computed row, budget, seed).
+    copies = [[] for _ in cfg.inputs]
+    held = []  # scale_cells arguments of the inputs scaled last
+    here = {}  # order: [(row, scaled matrix)]
+    there = []  # (row, future of its cond_after)
     worker = ThreadPoolExecutor(max_workers=1)
+
+    def scale_cells(index, name, m, algorithms, ratio_before, cond_before):
+        computed = {}
+        for algorithm in algorithms:
+            alg = TABLE[algorithm]
+            for budget in cfg.budgets:
+                for seed in range(cfg.seeds_per_run):
+                    key = (
+                        algorithm,
+                        budget if alg.uses_budget else None,
+                        seed if alg.uses_seed else None,
+                    )
+                    if key not in computed:
+                        row = RunReport(
+                            name, algorithm, seed, budget, ratio_before, cond_before=cond_before
+                        )
+                        scaled = _scale_cell(row, m, alg)
+                        if cond_before is not None and scaled is not None:
+                            if m.nrows < _WORKER_MIN_ORDER:
+                                here.setdefault(m.nrows, []).append((row, scaled))
+                            else:
+                                there.append(
+                                    (row, worker.submit(condition_number, scaled, cfg.cond_cap))
+                                )
+                        computed[key] = row
+                    copies[index].append((computed[key], budget, seed))
+
     try:
-        for source in cfg.inputs:
+        for index, source in enumerate(cfg.inputs):
             name = _input_name(source)
             algorithms = cfg.algorithms
             try:
@@ -224,43 +262,46 @@ def run_experiment(cfg):
                 ratio_before = ratio(m)
                 cond_before = None
                 if m.nrows == m.ncols <= cfg.cond_cap:
-                    cond_before = cond(m)
+                    cond_before = condition_number(m, cfg.cond_cap)
             except (*CELL_ERRORS, OSError) as exc:
                 reports.extend(_failure_rows(name, algorithms, cfg, exc))
                 continue
-            computed = {}
-            for algorithm in algorithms:
-                alg = TABLE[algorithm]
-                for budget in cfg.budgets:
-                    for seed in range(cfg.seeds_per_run):
-                        key = (
-                            algorithm,
-                            budget if alg.uses_budget else None,
-                            seed if alg.uses_seed else None,
-                        )
-                        if key not in computed:
-                            row = RunReport(
-                                name, algorithm, seed, budget, ratio_before, cond_before=cond_before
-                            )
-                            scaled = _scale_cell(row, m, alg)
-                            if cond_before is not None and scaled is not None:
-                                if m.nrows < _WORKER_MIN_ORDER:
-                                    here.append((row, partial(cond, scaled)))
-                                else:
-                                    there.append((row, worker.submit(cond, scaled).result))
-                            computed[key] = row
-                        copies.append((computed[key], budget, seed))
+            cells = (index, name, m, algorithms, ratio_before, cond_before)
+            if cond_before is not None and m.nrows < _WORKER_MIN_ORDER:
+                held.append(cells)
+            else:
+                scale_cells(*cells)
+        for cells in held:
+            scale_cells(*cells)
 
-        for row, cond_after in here + there:
+        for order, cells in here.items():
+            size = -(-_WORKER_MIN_ORDER // order)
+            for start in range(0, len(cells), size):
+                stack = cells[start : start + size]
+                results = condition_numbers([scaled for _, scaled in stack], cfg.cond_cap)
+                for (row, _), result in zip(stack, results):
+                    _set_cond_after(row, result)
+        for row, future in there:
             try:
-                row.cond_after = cond_after()
+                result = future.result()
             except CELL_ERRORS as exc:
-                row.status = f"error: {exc}"
-        reports.extend(dataclasses.replace(row, nmv=b, seed=s) for row, b, s in copies)
+                result = exc
+            _set_cond_after(row, result)
+        reports.extend(
+            dataclasses.replace(row, nmv=b, seed=s) for cells in copies for row, b, s in cells
+        )
     finally:
         worker.shutdown(cancel_futures=True)
     reports.sort(key=lambda r: (r.matrix_name, r.algorithm, r.nmv, r.seed))
     return reports
+
+
+def _set_cond_after(row, result):
+    """Record a cond_after, or the error `condition_numbers` returned in its place."""
+    if isinstance(result, Exception):
+        row.status = f"error: {result}"
+    else:
+        row.cond_after = result
 
 
 def emit_history(m, algorithm, nmv, seeds):

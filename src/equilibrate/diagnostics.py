@@ -26,6 +26,7 @@ from equilibrate.matrix import DiagonalScaling, from_sparse, scale
 from equilibrate.stochastic import ProbeSource, snbin, ssbin
 
 CONDITION_SIZE_CAP = 2000
+_EPS = np.finfo(np.float64).eps
 
 
 def row_norms_squared(m):
@@ -57,21 +58,61 @@ def condition_number(m, cap=CONDITION_SIZE_CAP):
 
     Densifies the matrix, so inputs beyond the cap raise SizeCapExceeded.
     Returns inf when the smallest singular value is zero or negligible
-    relative to the largest. A nan or infinite entry raises ValueError.
+    relative to the largest. A nan or infinite entry raises ValueError, and
+    an SVD that does not converge raises np.linalg.LinAlgError.
     """
+    [result] = condition_numbers([m], cap)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def condition_numbers(matrices, cap=CONDITION_SIZE_CAP):
+    """`condition_number` of each of ``matrices``, which share one shape.
+
+    The matrices that pass the cap and finite-entry checks are scattered
+    into one dense stack and go through a single SVD call, whose singular
+    values equal the one-matrix calls' bitwise; numpy releases the GIL for
+    a stack whose count x order exceeds 500, never for one matrix of order
+    500 or less. Returns one entry per matrix: its condition number, or the
+    exception `condition_number` would raise for it. When the stack's SVD
+    does not converge, its matrices are redone one at a time, so only the
+    bad one gets the LinAlgError.
+    """
+    results = [_refusal(m, cap) for m in matrices]
+    todo = [i for i, r in enumerate(results) if r is None]
+    if not todo:
+        return results
+    nrows, ncols = matrices[todo[0]].nrows, matrices[todo[0]].ncols
+    if any((matrices[i].nrows, matrices[i].ncols) != (nrows, ncols) for i in todo):
+        raise ValueError("condition_numbers needs matrices of one shape")
+    stack = np.zeros((len(todo), nrows, ncols))
+    for dense, i in zip(stack, todo):
+        dense[matrices[i].rows, matrices[i].indices] = matrices[i].data
+    try:
+        svs = np.linalg.svd(stack, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        if len(todo) == 1:
+            results[todo[0]] = exc
+        else:
+            for i in todo:
+                [results[i]] = condition_numbers([matrices[i]], cap)
+        return results
+    for sv, i in zip(svs, todo):
+        if sv.size == 0 or sv[0] == 0.0 or sv[-1] <= sv[0] * max(nrows, ncols) * _EPS:
+            results[i] = math.inf
+        else:
+            results[i] = float(sv[0] / sv[-1])
+    return results
+
+
+def _refusal(m, cap):
+    """The exception that stops ``m``'s condition number before its SVD, or None."""
     if max(m.nrows, m.ncols) > cap:
-        raise SizeCapExceeded(
-            f"condition number needs a dense decomposition; size cap is {cap}"
-        )
+        return SizeCapExceeded(f"condition number needs a dense decomposition; size cap is {cap}")
     if not np.isfinite(m.data).all():
-        raise ValueError("condition number needs finite entries")
-    sv = np.linalg.svd(m.to_dense(), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return math.inf
-    tiny = sv[0] * max(m.nrows, m.ncols) * np.finfo(np.float64).eps
-    if sv[-1] <= tiny:
-        return math.inf
-    return float(sv[0] / sv[-1])
+        return ValueError("condition number needs finite entries")
+    return None
 
 
 def row_sum_variance(m):

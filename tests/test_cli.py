@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import math
 import sys
 import threading
 import time
@@ -7,8 +9,10 @@ import time
 import numpy as np
 import pytest
 
+from equilibrate import cli
 from equilibrate.cli import (
     ALGORITHMS,
+    CELL_ERRORS,
     DEFAULT_BUDGETS,
     TABLE,
     ExperimentConfig,
@@ -18,7 +22,7 @@ from equilibrate.cli import (
     run_experiment,
 )
 from equilibrate.corpus import CorpusSpec, generate, spec_name
-from equilibrate.diagnostics import condition_number, ratio
+from equilibrate.diagnostics import condition_number, condition_numbers, ratio
 from equilibrate.errors import ConfigError
 from equilibrate.io import REPORT_FIELDS, read_matrix_market
 from equilibrate.matrix import SparseMatrix, scale
@@ -244,6 +248,40 @@ def _same_scaling(a, b):
     return a.left.tobytes() == b.left.tobytes() and a.right.tobytes() == b.right.tobytes()
 
 
+def _patch_conditions(monkeypatch, hook=lambda m: None):
+    """Patch both condition-number seams of ``run_experiment``.
+
+    ``condition_number`` gives cond_before and the worker's cond_after, and
+    ``condition_numbers`` the stacks of cond_after computed on the calling
+    thread. Each matrix passes through ``hook(m)`` first, in the order the
+    run asks for it. A cell error that ``hook`` raises for a matrix in a
+    stack becomes that matrix's result, as ``condition_numbers`` returns
+    one; anything else propagates. Returns the list of stacks, each
+    (thread ident, matrices).
+    """
+    stacks = []
+
+    def one(m, cap):
+        hook(m)
+        return condition_number(m, cap)
+
+    def stacked(matrices, cap):
+        stacks.append((threading.get_ident(), list(matrices)))
+        refused = []
+        for m in matrices:
+            try:
+                hook(m)
+                refused.append(None)
+            except CELL_ERRORS as exc:
+                refused.append(exc)
+        results = iter(condition_numbers([m for m, r in zip(matrices, refused) if r is None], cap))
+        return [next(results) if r is None else r for r in refused]
+
+    monkeypatch.setattr("equilibrate.cli.condition_number", one)
+    monkeypatch.setattr("equilibrate.cli.condition_numbers", stacked)
+    return stacks
+
+
 @pytest.mark.parametrize("spec", [_SYM_SPEC, _NONSYM_SPEC], ids=["symmetric", "nonsymmetric"])
 def test_seed_free_entries_ignore_the_seed(spec):
     m = generate(spec)
@@ -265,11 +303,10 @@ def test_budget_free_entries_ignore_the_budget(spec):
 def test_run_experiment_computes_each_distinct_cell_once(monkeypatch):
     calls = {}
 
-    def counting(m, cap):
+    def counting(m):
         calls[m.nrows] = calls.get(m.nrows, 0) + 1
-        return condition_number(m, cap=cap)
 
-    monkeypatch.setattr("equilibrate.cli.condition_number", counting)
+    _patch_conditions(monkeypatch, counting)
     rows = run_experiment(_memo_config())
     assert all(r.status == "ok" for r in rows)
     # One call for cond_before plus one per distinct cell. Symmetric input:
@@ -334,15 +371,14 @@ def _without_wall_time(rows):
 
 
 def _failing_call(number, exc, calls):
-    """condition_number that raises ``exc`` on its ``number``-th call, counted in ``calls``."""
+    """`_patch_conditions` hook raising ``exc`` for the ``number``-th matrix seen in ``calls``."""
 
-    def patched(m, cap):
+    def hook(m):
         calls.append(m)
         if len(calls) == number:
             raise exc
-        return condition_number(m, cap=cap)
 
-    return patched
+    return hook
 
 
 def _record_scale(monkeypatch):
@@ -369,14 +405,13 @@ def cond_after_path(request, monkeypatch):
 def test_run_experiment_wall_time_excludes_a_failing_condition_number(monkeypatch, cond_after_path):
     calls = []
 
-    def slow_failing(m, cap):
+    def slow_failing(m):
         calls.append(m)
-        if len(calls) == 1:  # cond_before
-            return condition_number(m, cap=cap)
-        time.sleep(0.5)
-        raise ValueError("too slow")
+        if len(calls) > 1:  # after cond_before
+            time.sleep(0.5)
+            raise ValueError("too slow")
 
-    monkeypatch.setattr("equilibrate.cli.condition_number", slow_failing)
+    _patch_conditions(monkeypatch, slow_failing)
     cfg = ExperimentConfig(
         inputs=[_SYM_SPEC], algorithms=("jacobi",), budgets=(4,), seeds_per_run=1
     ).validate()
@@ -397,13 +432,12 @@ def test_run_experiment_failing_cond_after_fails_its_cell_only(monkeypatch):
     failing = {20: 1 + 3, 25: 1 + 1}
     calls = {20: [], 25: []}
 
-    def patched(m, cap):
+    def failing_one(m):
         calls[m.nrows].append(threading.get_ident())
         if len(calls[m.nrows]) == failing[m.nrows]:
             raise np.linalg.LinAlgError("SVD did not converge")
-        return condition_number(m, cap=cap)
 
-    monkeypatch.setattr("equilibrate.cli.condition_number", patched)
+    _patch_conditions(monkeypatch, failing_one)
     cfg = ExperimentConfig(
         inputs=[_SYM_SPEC, _NONSYM_SPEC],
         algorithms=("jacobi", "sk_exact", "snbin"),
@@ -430,7 +464,7 @@ def test_run_experiment_failing_cond_after_fails_its_cell_only(monkeypatch):
 
 def test_run_experiment_failing_cond_before_fails_its_input_only(monkeypatch):
     calls = []
-    monkeypatch.setattr("equilibrate.cli.condition_number", _failing_call(1, ValueError("boom"), calls))
+    _patch_conditions(monkeypatch, _failing_call(1, ValueError("boom"), calls))
     scaled = _record_scale(monkeypatch)
     cfg = ExperimentConfig(
         inputs=[_SYM_SPEC, _NONSYM_SPEC], algorithms=("ssbin", "snbin"), budgets=(4,), seeds_per_run=2
@@ -453,7 +487,7 @@ def test_run_experiment_failing_cond_before_fails_its_input_only(monkeypatch):
 
 def test_run_experiment_propagates_a_bug_in_cond_after(monkeypatch, cond_after_path):
     calls = []
-    monkeypatch.setattr("equilibrate.cli.condition_number", _failing_call(2, RuntimeError("bug"), calls))
+    _patch_conditions(monkeypatch, _failing_call(2, RuntimeError("bug"), calls))
     cfg = ExperimentConfig(
         inputs=[_SYM_SPEC], algorithms=("jacobi", "snbin"), budgets=(4,), seeds_per_run=1
     ).validate()
@@ -464,25 +498,26 @@ def test_run_experiment_propagates_a_bug_in_cond_after(monkeypatch, cond_after_p
 
 
 def test_run_experiment_computes_small_cond_after_here_after_the_last_cell(monkeypatch):
-    # Order 20 stays on this thread and order 25 goes to the worker.
+    # Order 20 stays on this thread, in stacks of ceil(21 / 20) = 2, and
+    # order 25 goes to the worker.
     monkeypatch.setattr("equilibrate.cli._WORKER_MIN_ORDER", 21)
     scaled = _record_scale(monkeypatch)
     calls = []
-
-    def recording(m, cap):
-        calls.append((threading.get_ident(), m, len(scaled)))
-        return condition_number(m, cap=cap)
-
-    monkeypatch.setattr("equilibrate.cli.condition_number", recording)
+    _patch_conditions(
+        monkeypatch, lambda m: calls.append((threading.get_ident(), m, len(scaled)))
+    )
     cfg = _memo_config()
     run_experiment(cfg)
     here = threading.get_ident()
     mine = [(m, done) for ident, m, done in calls if ident == here]
     theirs = [(ident, m) for ident, m, _ in calls if ident != here]
-    # Each input's cond_before as it loads, before its cells are scaled;
-    # then the order-20 input's 44 cond_after, once all 57 cells are scaled.
+    # Each input's cond_before as it loads in config order, before any cell
+    # is scaled: the order-20 input is held while the order-25 input, whose
+    # cond_after go to the worker, is scaled first. Then the order-20
+    # input's 44 cond_after, once all 57 cells are scaled.
+    assert [m.nrows for m in scaled] == [25] * 13 + [20] * 44
     assert [m for m, _ in mine[:2]] == [generate(spec) for spec in cfg.inputs]
-    assert [done for _, done in mine[:2]] == [0, 44]
+    assert [done for _, done in mine[:2]] == [0, 0]
     assert [(m.nrows, done) for m, done in mine[2:]] == [(20, 44 + 13)] * 44
     assert len({ident for ident, _ in theirs}) == 1
     assert [m.nrows for _, m in theirs] == [25] * 13
@@ -491,14 +526,74 @@ def test_run_experiment_computes_small_cond_after_here_after_the_last_cell(monke
 def test_run_experiment_starts_no_thread_for_small_inputs(monkeypatch):
     threads = threading.active_count()
     calls = []
-
-    def recording(m, cap):
-        calls.append((threading.get_ident(), threading.active_count()))
-        return condition_number(m, cap=cap)
-
-    monkeypatch.setattr("equilibrate.cli.condition_number", recording)
+    _patch_conditions(
+        monkeypatch, lambda m: calls.append((threading.get_ident(), threading.active_count()))
+    )
     run_experiment(_memo_config())
     assert calls == [(threading.get_ident(), threads)] * (2 + 44 + 13)
+
+
+def test_run_experiment_stacks_hold_more_than_500_rows_but_each_orders_last(monkeypatch):
+    # Two order-20 inputs share their stacks of ceil(501 / 20) = 26; the
+    # order-25 input's 13 cond_after make one short stack (21 would fill it).
+    cfg = dataclasses.replace(
+        _memo_config(),
+        inputs=[
+            _SYM_SPEC,
+            _NONSYM_SPEC,
+            CorpusSpec(family="nonsymmetric_general", n=20, density=0.2, seed=23, scale_spread=1.5),
+        ],
+    )
+    stacks = _patch_conditions(monkeypatch)
+    rows = run_experiment(cfg)
+    assert all(r.status == "ok" for r in rows)
+    assert {ident for ident, _ in stacks} == {threading.get_ident()}
+    sizes = {}
+    for _, matrices in stacks:
+        assert len({(m.nrows, m.ncols) for m in matrices}) == 1
+        sizes.setdefault(matrices[0].nrows, []).append(len(matrices))
+    assert sizes == {20: [26, 26, 44 + 13 - 52], 25: [13]}
+    for order, counts in sizes.items():
+        assert all(count * order > 500 for count in counts[:-1])
+
+
+def test_run_experiment_bad_matrix_in_a_stack_fails_its_row_only(monkeypatch):
+    cfg = _memo_config()
+    expected = _without_wall_time(run_experiment(cfg))
+    marker = 1234.5678  # an entry that makes the patched SVD fail to converge
+    # Seeded cells, so that no other row copies theirs; both are scaled into
+    # the first of the order-20 input's two stacks.
+    bad = {("snbin", 4, 1): math.nan, ("ssbin", 8, 2): marker}
+    scale_cell, svd = cli._scale_cell, np.linalg.svd
+
+    def corrupting(row, m, alg):
+        scaled = scale_cell(row, m, alg)
+        if row.matrix_name == spec_name(_SYM_SPEC) and (row.algorithm, row.nmv, row.seed) in bad:
+            data = scaled.data.copy()
+            data[0] = bad[row.algorithm, row.nmv, row.seed]
+            return SparseMatrix.from_coo(m.nrows, m.ncols, scaled.rows, scaled.indices, data)
+        return scaled
+
+    def failing_svd(a, *args, **kwargs):
+        if (a == marker).any():
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr("equilibrate.cli._scale_cell", corrupting)
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    rows = run_experiment(cfg)
+    status = {
+        ("snbin", 4, 1): "error: condition number needs finite entries",
+        ("ssbin", 8, 2): "error: SVD did not converge",
+    }
+    fields = [name for name in REPORT_FIELDS if name != "wall_time"]
+    for row, want in zip(rows, expected):
+        key = (row.algorithm, row.nmv, row.seed)
+        if row.matrix_name == spec_name(_SYM_SPEC) and key in status:
+            assert row.status == status[key] and row.cond_after is None, row
+            assert row.ratio_after == want[fields.index("ratio_after")]
+        else:
+            assert _without_wall_time([row]) == [want]
 
 
 def test_run_experiment_scales_each_computed_cell_once(monkeypatch):

@@ -8,6 +8,7 @@ from equilibrate.diagnostics import (
     TABLE,
     col_norms_squared,
     condition_number,
+    condition_numbers,
     convergence_history,
     ratio,
     row_norms_squared,
@@ -105,6 +106,59 @@ def test_condition_number_size_cap():
     small = SparseMatrix.from_dense(np.eye(3))
     with pytest.raises(SizeCapExceeded):
         condition_number(small, cap=2)
+
+
+def _one_matrix_condition_number(m):
+    """The condition number from one dense SVD of ``m`` alone."""
+    sv = np.linalg.svd(m.to_dense(), compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] <= sv[0] * max(m.nrows, m.ncols) * np.finfo(np.float64).eps:
+        return math.inf
+    return float(sv[0] / sv[-1])
+
+
+@pytest.mark.parametrize("n", [20, 250, 251, 400])
+def test_stacked_condition_numbers_equal_the_one_matrix_calls_bitwise(n):
+    # Stacks of 3 x 250 = 750 and 3 x 20 = 60 rows: numpy releases the GIL
+    # for the first, not the second; the values must not depend on it.
+    a, b = (
+        generate(CorpusSpec("nonsymmetric_general", n=n, density=10 / n, seed=s, scale_spread=2.0))
+        for s in (1, 2)
+    )
+    dense = a.to_dense()
+    dense[-1] = dense[0]
+    singular = SparseMatrix.from_dense(dense)
+    stack = [a, singular, b]
+    results = condition_numbers(stack)
+    assert results[1] == math.inf
+    assert results == [_one_matrix_condition_number(m) for m in stack]
+    assert results == [condition_number(m) for m in stack]
+
+
+def test_condition_numbers_fail_only_the_bad_matrix_of_a_stack(monkeypatch):
+    marker = 1234.5678  # an entry that makes the patched SVD fail to converge
+    good = [SparseMatrix.from_dense(np.diag([1.0, 2.0, d])) for d in (4.0, 8.0)]
+    bad_entry = SparseMatrix.from_dense(np.diag([1.0, math.nan, 1.0]))
+    no_convergence = SparseMatrix.from_dense(np.diag([1.0, marker, 1.0]))
+    svd, stacks = np.linalg.svd, []
+
+    def failing_svd(a, *args, **kwargs):
+        stacks.append(len(a))
+        if (a == marker).any():
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    results = condition_numbers([good[0], bad_entry, no_convergence, good[1]])
+    assert results[0] == pytest.approx(4.0) and results[3] == pytest.approx(8.0)
+    assert isinstance(results[1], ValueError) and "finite" in str(results[1])
+    assert isinstance(results[2], np.linalg.LinAlgError)
+    # The finite three went through one stack, then one at a time after it failed.
+    assert stacks == [3, 1, 1, 1]
+    with pytest.raises(np.linalg.LinAlgError):
+        condition_number(no_convergence)
+    assert isinstance(condition_numbers([good[0]], cap=2)[0], SizeCapExceeded)
+    with pytest.raises(ValueError, match="one shape"):
+        condition_numbers([good[0], SparseMatrix.from_dense(np.eye(2))])
 
 
 def test_row_sum_variance_closed_form():
