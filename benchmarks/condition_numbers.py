@@ -13,21 +13,29 @@ Records two things.
   with ``n`` null has no second thread. Where numpy holds the GIL through
   the SVD, the loop stops for the length of each one. numpy 2.4.6 holds it
   unless count x n exceeds 500; this is the threshold behind
-  `cli._WORKER_MIN_ORDER` and the calling thread's stacks.
+  `cli._GIL_FREE_ROWS` and the stacks of `run`.
 - ``run_experiment``: `run_experiment` on a config shaped like the
   batch_run workload (spd n = 400, nonsymmetric n = 640 and a symmetric
   n = 3000 file read from disk, six algorithms, budgets 32/64/128, three
   seeds), timed after one warm-up run. It records ``wall_s``, the calling
   thread's CPU seconds (``cpu_s``), the seconds of condition numbers on
-  each thread (``cond_here_s``, ``cond_worker_s``; stacked calls count on
-  the calling thread), the worker's CPU seconds in them
-  (``cond_worker_cpu_s``), its idle seconds (``worker_idle_s``: its wall
-  time from the first submit to the end of its last condition number,
-  minus ``cond_worker_cpu_s``, so that waits for the GIL inside a call
-  count as well as gaps between calls), and per input order
-  the wall and CPU seconds of the calling thread's cell scalings
-  (``scale_wall_s``, ``scale_cpu_s``): a scaling stalled by an SVD that
-  holds the GIL on another thread takes more wall time than CPU time.
+  each thread (``cond_here_s``, ``cond_worker_s``; cond_before counts on
+  the calling thread), the stacks of cond_after each thread computed
+  (``stacks_here``, ``stacks_worker``: calls of `condition_numbers`, so a
+  stack on the calling thread is one it took back from the worker's
+  queue; before the take-back rule the worker took one matrix per call,
+  through `condition_number`, and the calling thread the stacks of orders
+  below 501), the worker's CPU seconds in
+  its condition numbers (``cond_worker_cpu_s``), its idle seconds
+  (``worker_idle_s``: its wall time from the first submit to the end of
+  its last condition number, minus ``cond_worker_cpu_s``, so that waits
+  for the GIL inside a call count as well as gaps between calls), the
+  calling thread's idle seconds (``here_idle_s``: its wall time blocked on
+  the worker's results), and per input order the wall and CPU seconds of
+  the calling thread's cell scalings (``scale_wall_s``, ``scale_cpu_s``):
+  a scaling stalled by an SVD that holds the GIL on another thread takes
+  more wall time than CPU time. ``gil_free_rows`` is the count x order
+  from which `run` takes a stack to release the GIL.
 
 The result is stored with `harness.py` under ``--label`` in
 ``BENCH_condition_numbers.json``; with ``--src``, a parent checkout is
@@ -130,8 +138,8 @@ def measure_run(config):
     from equilibrate import cli
 
     here = threading.get_ident()
-    cond = {"here": 0.0, "worker": 0.0, "worker_cpu": 0.0}
-    worker = {"first_submit": None, "last_end": None}
+    cond = {"here": 0.0, "worker": 0.0, "worker_cpu": 0.0, "stacks_here": 0, "stacks_worker": 0}
+    worker = {"first_submit": None, "last_end": None, "here_idle": 0.0}
     scaling = {}
     originals = {
         name: getattr(cli, name)
@@ -139,7 +147,7 @@ def measure_run(config):
         if hasattr(cli, name)
     }
 
-    def timed(fn):
+    def timed(fn, stacked):
         def call(*args, **kwargs):
             t, c = time.perf_counter(), time.thread_time()
             try:
@@ -148,9 +156,11 @@ def measure_run(config):
                 end = time.perf_counter()
                 if threading.get_ident() == here:
                     cond["here"] += end - t
+                    cond["stacks_here"] += stacked
                 else:
                     cond["worker"] += end - t
                     cond["worker_cpu"] += time.thread_time() - c
+                    cond["stacks_worker"] += stacked
                     worker["last_end"] = end
 
         return call
@@ -159,7 +169,18 @@ def measure_run(config):
         def submit(self, *args, **kwargs):
             if worker["first_submit"] is None:
                 worker["first_submit"] = time.perf_counter()
-            return super().submit(*args, **kwargs)
+            future = super().submit(*args, **kwargs)
+            result = future.result
+
+            def timed_result(*args, **kwargs):
+                t = time.perf_counter()
+                try:
+                    return result(*args, **kwargs)
+                finally:
+                    worker["here_idle"] += time.perf_counter() - t
+
+            future.result = timed_result
+            return future
 
     def timed_scale(row, m, alg):
         t, c = time.perf_counter(), time.thread_time()
@@ -173,7 +194,7 @@ def measure_run(config):
     cli.run_experiment(cfg)
     for name in ("condition_number", "condition_numbers"):
         if name in originals:
-            setattr(cli, name, timed(originals[name]))
+            setattr(cli, name, timed(originals[name], name == "condition_numbers"))
     cli._scale_cell, cli.ThreadPoolExecutor = timed_scale, Executor
     try:
         t, c = time.perf_counter(), time.thread_time()
@@ -191,8 +212,11 @@ def measure_run(config):
         "cpu_s": cpu,
         "cond_here_s": cond["here"],
         "cond_worker_s": cond["worker"],
+        "stacks_here": cond["stacks_here"],
+        "stacks_worker": cond["stacks_worker"],
         "cond_worker_cpu_s": cond["worker_cpu"],
         "worker_idle_s": idle,
+        "here_idle_s": worker["here_idle"],
         "scale_wall_s": {n: w for n, (w, _) in scaling.items()},
         "scale_cpu_s": {n: c for n, (_, c) in scaling.items()},
     }
@@ -204,7 +228,8 @@ def measure(eq, args):
     with tempfile.TemporaryDirectory() as tmp:
         run = measure_run(write_inputs(eq, Path(tmp)))
     return {
-        "worker_min_order": getattr(cli, "_WORKER_MIN_ORDER", None),
+        # The parent named the same threshold for one matrix's order.
+        "gil_free_rows": getattr(cli, "_GIL_FREE_ROWS", getattr(cli, "_WORKER_MIN_ORDER", None)),
         "gil": measure_gil(eq, args.seconds),
         "run_experiment": run,
     }

@@ -1,6 +1,6 @@
 """Smoke check of the layer benchmarks and their harness.
 
-    python3 -m pytest benchmarks/test_smoke.py
+    python3 -m pytest benchmarks/test_layer_smoke.py
 
 Runs a stand-in benchmark through `harness.py` in a throwaway pair of git
 checkouts, and each script's measurement in this process at a tiny size.
@@ -131,9 +131,6 @@ def test_measurement_runs_at_a_tiny_size(script, monkeypatch):
     constants, settings = TINY[script]
     for name, value in constants.items():
         monkeypatch.setattr(module, name, value)
-    if script == "condition_numbers":
-        # The order-40 file input's cond_after go to the worker, order 30's stay here.
-        monkeypatch.setattr("equilibrate.cli._WORKER_MIN_ORDER", 35)
     result = module.measure(equilibrate, argparse.Namespace(**settings))
     assert json.loads(json.dumps(result)) == result
     if script == "products":
@@ -144,7 +141,11 @@ def test_measurement_runs_at_a_tiny_size(script, monkeypatch):
     if script == "condition_numbers":
         assert set(result["run_experiment"]["scale_wall_s"]) == {"30", "40"}
         assert [(row["n"], row["count"]) for row in result["gil"]] == [(None, None), (40, 1), (20, 2)]
+        assert result["gil_free_rows"] == 501
         run = result["run_experiment"]
-        assert run["cond_here_s"] > 0.0 and run["cond_worker_s"] > 0.0
-        assert run["worker_idle_s"] >= 0.0
+        # Each input's 10 cond_after make one short stack (17 and 13 would
+        # fill them); which thread takes which is a race.
+        assert run["stacks_here"] + run["stacks_worker"] == 2
+        assert run["cond_here_s"] > 0.0 and run["here_idle_s"] >= 0.0
+        assert run["worker_idle_s"] is None or run["worker_idle_s"] >= 0.0
 

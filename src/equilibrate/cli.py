@@ -8,16 +8,16 @@ status is 0 on full success, 1 when any per-matrix cell failed, 2 on
 configuration problems and on any other package error that stops the
 command.
 
-``run`` loads and measures each input on the calling thread, in config
-order. numpy releases the GIL for an SVD stack whose count x order exceeds
-500, and never for one matrix of order 500 or less. A cell's cond_after on
-an input of order 501 or more goes to one background thread, which
-overlaps it with the scaling of the next cells and costs a few MB of
-resident memory; those inputs are scaled first. Smaller inputs are held
-and scaled after them, and their cond_after run on the calling thread
-after the last cell, in stacks of ceil(501 / order) matrices of one order,
-so that no SVD holds the GIL while the background thread has work. A
-cell's ``wall_time`` covers its scaling only.
+``run`` loads, measures and scales each input on the calling thread, in
+config order. numpy releases the GIL for an SVD stack whose count x order
+exceeds 500, and never for one matrix of order 500 or less. So the cells'
+cond_after are stacked by order, and each stack of ceil(501 / order)
+matrices goes to one background thread as soon as it is full, overlapping
+its SVD with the scaling of the next cells; that costs a few MB of
+resident memory. Each order's short last stack goes after the last cell,
+and the calling thread then takes back the stacks the background thread
+has not started and computes them itself. A cell's ``wall_time`` covers
+its scaling only.
 """
 
 import argparse
@@ -55,11 +55,10 @@ ALGORITHMS = tuple(TABLE)
 # What a bad matrix can raise inside a cell; np.linalg.LinAlgError is a
 # ValueError. Anything else is a bug and aborts the batch.
 CELL_ERRORS = (EquilibrateError, ValueError, FloatingPointError)
-# numpy 2.4.6 releases the GIL for an SVD stack whose count x order exceeds
-# 500, so one matrix needs this order. run_experiment hands the condition
-# numbers of these orders to its worker thread and computes the others in
-# stacks of ceil(_WORKER_MIN_ORDER / order) matrices.
-_WORKER_MIN_ORDER = 501
+# numpy 2.4.6 releases the GIL for an SVD stack of at least this many rows
+# (count x order) and holds it for a smaller one; run_experiment fills its
+# stacks of one order up to this.
+_GIL_FREE_ROWS = 501
 
 
 @dataclass
@@ -205,54 +204,28 @@ def run_experiment(cfg):
     (matrix, algorithm, nmv, seed), and everything except wall_time is a
     pure function of the config.
 
-    Inputs are loaded and measured on this thread in config order.
+    Inputs are loaded, measured and scaled on this thread in config order.
     cond_after is computed on the scaled matrix ratio_after was measured
-    on. numpy releases the GIL for an SVD stack whose count x order exceeds
-    500, never for one matrix of order 500 or less. So for an input of
-    order _WORKER_MIN_ORDER or more, each cond_after runs on one worker
-    thread while this thread scales the next cells, and those inputs are
-    scaled first. An input of smaller order is held until they are done,
-    then scaled; its cond_after run here after the last cell, in stacks of
-    ceil(_WORKER_MIN_ORDER / order) matrices of one order, while the worker
-    finishes. wall_time covers the scaling only.
+    on, in stacks of one order: a stack goes to one worker thread as soon
+    as it holds ceil(_GIL_FREE_ROWS / order) matrices, so that its SVD
+    releases the GIL while this thread scales the next cells, and each
+    order's short last stack goes after the last cell. This thread then
+    walks the stacks from the last one sent: it takes back each one the
+    worker has not started and computes it itself, and waits for the
+    others. wall_time covers the scaling only.
     """
     reports = []
-    # Per input, so that rows of equal sort keys keep config order whatever
-    # order the inputs are scaled in: (computed row, budget, seed).
-    copies = [[] for _ in cfg.inputs]
-    held = []  # scale_cells arguments of the inputs scaled last
-    here = {}  # order: [(row, scaled matrix)]
-    there = []  # (row, future of its cond_after)
+    cells = []  # (computed row, budget, seed) of every computed input's cells
+    filling = {}  # order: (rows, scaled matrices) of the stack not yet sent
+    sent = []  # (rows, scaled matrices, future of their condition numbers)
     worker = ThreadPoolExecutor(max_workers=1)
 
-    def scale_cells(index, name, m, algorithms, ratio_before, cond_before):
-        computed = {}
-        for algorithm in algorithms:
-            alg = TABLE[algorithm]
-            for budget in cfg.budgets:
-                for seed in range(cfg.seeds_per_run):
-                    key = (
-                        algorithm,
-                        budget if alg.uses_budget else None,
-                        seed if alg.uses_seed else None,
-                    )
-                    if key not in computed:
-                        row = RunReport(
-                            name, algorithm, seed, budget, ratio_before, cond_before=cond_before
-                        )
-                        scaled = _scale_cell(row, m, alg)
-                        if cond_before is not None and scaled is not None:
-                            if m.nrows < _WORKER_MIN_ORDER:
-                                here.setdefault(m.nrows, []).append((row, scaled))
-                            else:
-                                there.append(
-                                    (row, worker.submit(condition_number, scaled, cfg.cond_cap))
-                                )
-                        computed[key] = row
-                    copies[index].append((computed[key], budget, seed))
+    def send(order):
+        rows, matrices = filling.pop(order)
+        sent.append((rows, matrices, worker.submit(condition_numbers, matrices, cfg.cond_cap)))
 
     try:
-        for index, source in enumerate(cfg.inputs):
+        for source in cfg.inputs:
             name = _input_name(source)
             algorithms = cfg.algorithms
             try:
@@ -266,30 +239,39 @@ def run_experiment(cfg):
             except (*CELL_ERRORS, OSError) as exc:
                 reports.extend(_failure_rows(name, algorithms, cfg, exc))
                 continue
-            cells = (index, name, m, algorithms, ratio_before, cond_before)
-            if cond_before is not None and m.nrows < _WORKER_MIN_ORDER:
-                held.append(cells)
+            computed = {}
+            for algorithm in algorithms:
+                alg = TABLE[algorithm]
+                for budget in cfg.budgets:
+                    for seed in range(cfg.seeds_per_run):
+                        key = (
+                            algorithm,
+                            budget if alg.uses_budget else None,
+                            seed if alg.uses_seed else None,
+                        )
+                        if key not in computed:
+                            row = RunReport(
+                                name, algorithm, seed, budget, ratio_before, cond_before=cond_before
+                            )
+                            scaled = _scale_cell(row, m, alg)
+                            if cond_before is not None and scaled is not None:
+                                rows, matrices = filling.setdefault(m.nrows, ([], []))
+                                rows.append(row)
+                                matrices.append(scaled)
+                                if len(rows) * m.nrows >= _GIL_FREE_ROWS:
+                                    send(m.nrows)
+                            computed[key] = row
+                        cells.append((computed[key], budget, seed))
+        for order in list(filling):
+            send(order)
+        for rows, matrices, future in reversed(sent):
+            if future.cancel():
+                results = condition_numbers(matrices, cfg.cond_cap)
             else:
-                scale_cells(*cells)
-        for cells in held:
-            scale_cells(*cells)
-
-        for order, cells in here.items():
-            size = -(-_WORKER_MIN_ORDER // order)
-            for start in range(0, len(cells), size):
-                stack = cells[start : start + size]
-                results = condition_numbers([scaled for _, scaled in stack], cfg.cond_cap)
-                for (row, _), result in zip(stack, results):
-                    _set_cond_after(row, result)
-        for row, future in there:
-            try:
-                result = future.result()
-            except CELL_ERRORS as exc:
-                result = exc
-            _set_cond_after(row, result)
-        reports.extend(
-            dataclasses.replace(row, nmv=b, seed=s) for cells in copies for row, b, s in cells
-        )
+                results = future.result()
+            for row, result in zip(rows, results):
+                _set_cond_after(row, result)
+        reports.extend(dataclasses.replace(row, nmv=b, seed=s) for row, b, s in cells)
     finally:
         worker.shutdown(cancel_futures=True)
     reports.sort(key=lambda r: (r.matrix_name, r.algorithm, r.nmv, r.seed))

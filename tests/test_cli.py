@@ -5,6 +5,8 @@ import math
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -251,9 +253,8 @@ def _same_scaling(a, b):
 def _patch_conditions(monkeypatch, hook=lambda m: None):
     """Patch both condition-number seams of ``run_experiment``.
 
-    ``condition_number`` gives cond_before and the worker's cond_after, and
-    ``condition_numbers`` the stacks of cond_after computed on the calling
-    thread. Each matrix passes through ``hook(m)`` first, in the order the
+    ``condition_number`` gives cond_before, and ``condition_numbers`` the
+    stacks of cond_after, on whichever thread computes them. Each matrix passes through ``hook(m)`` first, in the order the
     run asks for it. A cell error that ``hook`` raises for a matrix in a
     stack becomes that matrix's result, as ``condition_numbers`` returns
     one; anything else propagates. Returns the list of stacks, each
@@ -395,11 +396,50 @@ def _record_scale(monkeypatch):
 
 @pytest.fixture(params=["here", "worker"])
 def cond_after_path(request, monkeypatch):
-    """Where cond_after runs: on this thread, as for every input of these
-    tests, or on the worker, with the order that goes there lowered to 1."""
-    if request.param == "worker":
-        monkeypatch.setattr("equilibrate.cli._WORKER_MIN_ORDER", 1)
-    return request.param
+    """Where the stacks of cond_after run: "here", where the worker is held
+    on a first call until shutdown (or a minute), so that the calling
+    thread takes back every stack; or "worker", where submit returns only once the worker has
+    started the stack, so that none can be taken back. Returns the name,
+    the matrices scaled (as `_record_scale` does) and the stacks sent, each
+    (order, count, cells scaled before it was sent)."""
+    path = SimpleNamespace(name=request.param, scaled=_record_scale(monkeypatch), sent=[])
+
+    class Worker(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.release = threading.Event()
+            if path.name == "here":
+                super().submit(self.release.wait, 60)
+
+        def submit(self, fn, matrices, cap):
+            path.sent.append((matrices[0].nrows, len(matrices), len(path.scaled)))
+            started = threading.Event()
+
+            def run():
+                started.set()
+                return fn(matrices, cap)
+
+            future = super().submit(run)
+            if path.name == "worker":
+                started.wait()
+            return future
+
+        def shutdown(self, *args, **kwargs):
+            self.release.set()
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr("equilibrate.cli.ThreadPoolExecutor", Worker)
+    return path
+
+
+def _stack_threads(stacks, path):
+    """Assert that ``stacks`` ran where ``path`` puts them: all on this
+    thread, or all on one other thread."""
+    threads = {ident for ident, _ in stacks}
+    if path.name == "here":
+        assert threads == {threading.get_ident()}
+    else:
+        assert len(threads) == 1 and threading.get_ident() not in threads
 
 
 def test_run_experiment_wall_time_excludes_a_failing_condition_number(monkeypatch, cond_after_path):
@@ -421,14 +461,12 @@ def test_run_experiment_wall_time_excludes_a_failing_condition_number(monkeypatc
     assert len(calls) == 2
 
 
-def test_run_experiment_failing_cond_after_fails_its_cell_only(monkeypatch):
-    # Order 20 stays on this thread and order 25 goes to the worker. The
-    # calls for one input arrive in order: cond_before, then its cells' in
-    # the order they are scaled. Symmetric input: jacobi's single cell,
-    # sk_exact at budget 4 and sk_exact at budget 8, whose two seeds copy
-    # one computed row. Nonsymmetric input (no jacobi): sk_exact at budget
-    # 4 first.
-    monkeypatch.setattr("equilibrate.cli._WORKER_MIN_ORDER", 21)
+def test_run_experiment_failing_cond_after_fails_its_cell_only(monkeypatch, cond_after_path):
+    # The calls for one order arrive in order: cond_before, then its stack's
+    # in the order the cells were scaled. Symmetric input (order 20):
+    # jacobi's single cell, sk_exact at budget 4 and sk_exact at budget 8,
+    # whose two seeds copy one computed row. Nonsymmetric input (order 25,
+    # no jacobi): sk_exact at budget 4 first.
     failing = {20: 1 + 3, 25: 1 + 1}
     calls = {20: [], 25: []}
 
@@ -437,7 +475,7 @@ def test_run_experiment_failing_cond_after_fails_its_cell_only(monkeypatch):
         if len(calls[m.nrows]) == failing[m.nrows]:
             raise np.linalg.LinAlgError("SVD did not converge")
 
-    _patch_conditions(monkeypatch, failing_one)
+    stacks = _patch_conditions(monkeypatch, failing_one)
     cfg = ExperimentConfig(
         inputs=[_SYM_SPEC, _NONSYM_SPEC],
         algorithms=("jacobi", "sk_exact", "snbin"),
@@ -458,8 +496,9 @@ def test_run_experiment_failing_cond_after_fails_its_cell_only(monkeypatch):
             assert r.status == "ok", r
             assert r.cond_after is not None
     assert len(calls[20]) == 1 + 1 + 2 + 4 and len(calls[25]) == 1 + 2 + 4
-    here = threading.get_ident()
-    assert set(calls[20]) == {here} and here not in calls[25][1:]
+    # Neither order fills a stack, so each goes whole after the last cell.
+    assert cond_after_path.sent == [(20, 7, 13), (25, 6, 13)]
+    _stack_threads(stacks, cond_after_path)
 
 
 def test_run_experiment_failing_cond_before_fails_its_input_only(monkeypatch):
@@ -497,43 +536,41 @@ def test_run_experiment_propagates_a_bug_in_cond_after(monkeypatch, cond_after_p
     assert threading.active_count() == threads
 
 
-def test_run_experiment_computes_small_cond_after_here_after_the_last_cell(monkeypatch):
-    # Order 20 stays on this thread, in stacks of ceil(21 / 20) = 2, and
-    # order 25 goes to the worker.
-    monkeypatch.setattr("equilibrate.cli._WORKER_MIN_ORDER", 21)
-    scaled = _record_scale(monkeypatch)
+def test_run_experiment_scales_in_config_order_and_sends_each_stack_when_full(
+    monkeypatch, cond_after_path
+):
+    scaled = cond_after_path.scaled
+    here = threading.get_ident()
     calls = []
-    _patch_conditions(
+    stacks = _patch_conditions(
         monkeypatch, lambda m: calls.append((threading.get_ident(), m, len(scaled)))
     )
     cfg = _memo_config()
-    run_experiment(cfg)
-    here = threading.get_ident()
-    mine = [(m, done) for ident, m, done in calls if ident == here]
-    theirs = [(ident, m) for ident, m, _ in calls if ident != here]
-    # Each input's cond_before as it loads in config order, before any cell
-    # is scaled: the order-20 input is held while the order-25 input, whose
-    # cond_after go to the worker, is scaled first. Then the order-20
-    # input's 44 cond_after, once all 57 cells are scaled.
-    assert [m.nrows for m in scaled] == [25] * 13 + [20] * 44
-    assert [m for m, _ in mine[:2]] == [generate(spec) for spec in cfg.inputs]
-    assert [done for _, done in mine[:2]] == [0, 0]
-    assert [(m.nrows, done) for m, done in mine[2:]] == [(20, 44 + 13)] * 44
-    assert len({ident for ident, _ in theirs}) == 1
-    assert [m.nrows for _, m in theirs] == [25] * 13
-
-
-def test_run_experiment_starts_no_thread_for_small_inputs(monkeypatch):
     threads = threading.active_count()
-    calls = []
-    _patch_conditions(
-        monkeypatch, lambda m: calls.append((threading.get_ident(), threading.active_count()))
-    )
-    run_experiment(_memo_config())
-    assert calls == [(threading.get_ident(), threads)] * (2 + 44 + 13)
+    run_experiment(cfg)
+    assert threading.active_count() == threads
+    assert len(calls) == 2 + 44 + 13
+    # Each input is loaded and measured, then its cells are scaled, in
+    # config order; cond_before stays on this thread.
+    assert [m.nrows for m in scaled] == [20] * 44 + [25] * 13
+    mine = [(m, done) for ident, m, done in calls if ident == here]
+    assert [m for m, _ in mine[:2]] == [generate(spec) for spec in cfg.inputs]
+    assert [done for _, done in mine[:2]] == [0, 44]
+    # Order 20's first stack of ceil(501 / 20) = 26 goes as its 26th cell is
+    # scaled. Its last 18 and order 25's 13 (21 would fill a stack) go after
+    # the last of the 57 cells.
+    assert cond_after_path.sent == [(20, 26, 26), (20, 18, 57), (25, 13, 57)]
+    _stack_threads(stacks, cond_after_path)
+    computed = [(m[0].nrows, len(m)) for _, m in stacks]
+    if cond_after_path.name == "here":  # taken back from the last one sent
+        assert computed == [(25, 13), (20, 18), (20, 26)]
+    else:
+        assert computed == [(20, 26), (20, 18), (25, 13)]
 
 
-def test_run_experiment_stacks_hold_more_than_500_rows_but_each_orders_last(monkeypatch):
+def test_run_experiment_stacks_hold_more_than_500_rows_but_each_orders_last(
+    monkeypatch, cond_after_path
+):
     # Two order-20 inputs share their stacks of ceil(501 / 20) = 26; the
     # order-25 input's 13 cond_after make one short stack (21 would fill it).
     cfg = dataclasses.replace(
@@ -547,14 +584,44 @@ def test_run_experiment_stacks_hold_more_than_500_rows_but_each_orders_last(monk
     stacks = _patch_conditions(monkeypatch)
     rows = run_experiment(cfg)
     assert all(r.status == "ok" for r in rows)
-    assert {ident for ident, _ in stacks} == {threading.get_ident()}
-    sizes = {}
     for _, matrices in stacks:
         assert len({(m.nrows, m.ncols) for m in matrices}) == 1
-        sizes.setdefault(matrices[0].nrows, []).append(len(matrices))
-    assert sizes == {20: [26, 26, 44 + 13 - 52], 25: [13]}
+    # The second order-20 stack fills at the third input's 8th cell.
+    assert cond_after_path.sent == [(20, 26, 26), (20, 26, 44 + 13 + 8), (25, 13, 70), (20, 5, 70)]
+    sizes = {}
+    for order, count, _ in cond_after_path.sent:
+        sizes.setdefault(order, []).append(count)
     for order, counts in sizes.items():
         assert all(count * order > 500 for count in counts[:-1])
+
+
+def test_run_experiment_takes_back_the_stacks_a_held_worker_has_not_started(monkeypatch):
+    cfg = _memo_config()
+    expected = _without_wall_time(run_experiment(cfg))
+    here = threading.get_ident()
+    started, release = threading.Event(), threading.Event()
+
+    def hold(m):
+        taken = [matrices for ident, matrices in stacks if ident == here]
+        if threading.get_ident() != here:
+            started.set()
+            release.wait(timeout=60)
+        elif taken:
+            # The worker holds order 20's first stack, sent as it filled,
+            # while this thread takes back the two stacks sent after the
+            # last cell; then the worker may finish.
+            started.wait(timeout=60)
+            if len(taken) == 2:
+                release.set()
+
+    stacks = _patch_conditions(monkeypatch, hold)
+    rows = run_experiment(cfg)
+    assert _without_wall_time(rows) == expected
+    assert sorted((ident == here, m[0].nrows, len(m)) for ident, m in stacks) == [
+        (False, 20, 26),
+        (True, 20, 18),
+        (True, 25, 13),
+    ]
 
 
 def test_run_experiment_bad_matrix_in_a_stack_fails_its_row_only(monkeypatch):

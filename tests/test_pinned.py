@@ -239,7 +239,7 @@ def test_run_reports_are_pinned(tmp_path):
 
 def test_run_reports_on_the_worker_path_are_pinned(tmp_path):
     spec = CorpusSpec("nonsymmetric_general", n=520, density=0.02, seed=15, scale_spread=2.0)
-    assert spec.n >= cli._WORKER_MIN_ORDER
+    assert spec.n >= cli._GIL_FREE_ROWS
     cfg = ExperimentConfig(
         inputs=[spec], algorithms=("snbin", "sk_exact", "inf_norm"), budgets=(8,), seeds_per_run=1
     )
