@@ -22,11 +22,10 @@ Records two things.
   each thread (``cond_here_s``, ``cond_worker_s``; cond_before counts on
   the calling thread), the stacks of cond_after each thread computed
   (``stacks_here``, ``stacks_worker``: calls of `condition_numbers`, so a
-  stack on the calling thread is one it took back from the worker's
-  queue; before the take-back rule the worker took one matrix per call,
-  through `condition_number`, and the calling thread the stacks of orders
-  below 501), the worker's CPU seconds in
-  its condition numbers (``cond_worker_cpu_s``), its idle seconds
+  stack on the calling thread is one it took back from the worker; a
+  package whose worker takes one matrix per `condition_number` call
+  counts none there), the worker's CPU seconds in its condition numbers
+  (``cond_worker_cpu_s``), its idle seconds
   (``worker_idle_s``: its wall time from the first submit to the end of
   its last condition number, minus ``cond_worker_cpu_s``, so that waits
   for the GIL inside a call count as well as gaps between calls), the
@@ -139,7 +138,8 @@ def measure_run(config):
 
     here = threading.get_ident()
     cond = {"here": 0.0, "worker": 0.0, "worker_cpu": 0.0, "stacks_here": 0, "stacks_worker": 0}
-    worker = {"first_submit": None, "last_end": None, "here_idle": 0.0}
+    worker = {"first_submit": None, "last_end": None}
+    here_idle = [0.0]
     scaling = {}
     originals = {
         name: getattr(cli, name)
@@ -177,7 +177,7 @@ def measure_run(config):
                 try:
                     return result(*args, **kwargs)
                 finally:
-                    worker["here_idle"] += time.perf_counter() - t
+                    here_idle[0] += time.perf_counter() - t
 
             future.result = timed_result
             return future
@@ -216,7 +216,7 @@ def measure_run(config):
         "stacks_worker": cond["stacks_worker"],
         "cond_worker_cpu_s": cond["worker_cpu"],
         "worker_idle_s": idle,
-        "here_idle_s": worker["here_idle"],
+        "here_idle_s": here_idle[0],
         "scale_wall_s": {n: w for n, (w, _) in scaling.items()},
         "scale_cpu_s": {n: c for n, (_, c) in scaling.items()},
     }

@@ -254,10 +254,11 @@ def _patch_conditions(monkeypatch, hook=lambda m: None):
     """Patch both condition-number seams of ``run_experiment``.
 
     ``condition_number`` gives cond_before, and ``condition_numbers`` the
-    stacks of cond_after, on whichever thread computes them. Each matrix passes through ``hook(m)`` first, in the order the
-    run asks for it. A cell error that ``hook`` raises for a matrix in a
-    stack becomes that matrix's result, as ``condition_numbers`` returns
-    one; anything else propagates. Returns the list of stacks, each
+    stacks of cond_after, on whichever thread computes them. Each matrix
+    passes through ``hook(m)`` first, in the order the run asks for it. A
+    cell error that ``hook`` raises for a matrix in a stack becomes that
+    matrix's result, as ``condition_numbers`` returns one; anything else
+    propagates. Returns the list of stacks, each
     (thread ident, matrices).
     """
     stacks = []
@@ -398,10 +399,10 @@ def _record_scale(monkeypatch):
 def cond_after_path(request, monkeypatch):
     """Where the stacks of cond_after run: "here", where the worker is held
     on a first call until shutdown (or a minute), so that the calling
-    thread takes back every stack; or "worker", where submit returns only once the worker has
-    started the stack, so that none can be taken back. Returns the name,
-    the matrices scaled (as `_record_scale` does) and the stacks sent, each
-    (order, count, cells scaled before it was sent)."""
+    thread takes back every stack; or "worker", where submit returns only
+    once the worker has started the stack, so that none can be taken back.
+    Returns the name, the matrices scaled (as `_record_scale` does) and the
+    stacks sent, each (order, count, cells scaled before it was sent)."""
     path = SimpleNamespace(name=request.param, scaled=_record_scale(monkeypatch), sent=[])
 
     class Worker(ThreadPoolExecutor):
@@ -421,7 +422,7 @@ def cond_after_path(request, monkeypatch):
 
             future = super().submit(run)
             if path.name == "worker":
-                started.wait()
+                assert started.wait(60)
             return future
 
         def shutdown(self, *args, **kwargs):
