@@ -9,7 +9,7 @@ Records two things.
   (``longest_gap_s``) and the median seconds of one condition number
   (``cond_s``). Rows with ``count`` above 1 run `condition_numbers` on a
   stack of ``count`` such matrices instead, for (count, n) in {(2, 250),
-  (2, 251), (2, 400)}; a package without that function has none. The row
+  (2, 251), (2, 400)}. The row
   with ``n`` null has no second thread. Where numpy holds the GIL through
   the SVD, the loop stops for the length of each one. numpy 2.4.6 holds it
   unless count x n exceeds 500; this is the threshold behind
@@ -22,10 +22,9 @@ Records two things.
   each thread (``cond_here_s``, ``cond_worker_s``; cond_before counts on
   the calling thread), the stacks of cond_after each thread computed
   (``stacks_here``, ``stacks_worker``: calls of `condition_numbers`, so a
-  stack on the calling thread is one it took back from the worker; a
-  package whose worker takes one matrix per `condition_number` call
-  counts none there), the worker's CPU seconds in its condition numbers
-  (``cond_worker_cpu_s``), its idle seconds
+  stack on the calling thread is one it took back from the worker), the
+  worker's CPU seconds in its condition numbers (``cond_worker_cpu_s``),
+  its idle seconds
   (``worker_idle_s``: its wall time from the first submit to the end of
   its last condition number, minus ``cond_worker_cpu_s``, so that waits
   for the GIL inside a call count as well as gaps between calls), the
@@ -107,10 +106,10 @@ def measure_gil(eq, seconds):
     for n in GIL_SIZES:
         m = matrix(n, 2)
         rows.append({"n": n, "count": 1, **_loop_rate(lambda: eq.condition_number(m), seconds)})
-    condition_numbers = getattr(eq.diagnostics, "condition_numbers", None)
-    for count, n in GIL_STACKS if condition_numbers is not None else ():
+    for count, n in GIL_STACKS:
         stack = [matrix(n, 2 + k) for k in range(count)]
-        rows.append({"n": n, "count": count, **_loop_rate(lambda: condition_numbers(stack), seconds)})
+        loop = _loop_rate(lambda: eq.diagnostics.condition_numbers(stack), seconds)
+        rows.append({"n": n, "count": count, **loop})
     return rows
 
 
@@ -144,7 +143,6 @@ def measure_run(config):
     originals = {
         name: getattr(cli, name)
         for name in ("condition_number", "condition_numbers", "_scale_cell", "ThreadPoolExecutor")
-        if hasattr(cli, name)
     }
 
     def timed(fn, stacked):
@@ -193,8 +191,7 @@ def measure_run(config):
     cfg = cli.parse_config(config)
     cli.run_experiment(cfg)
     for name in ("condition_number", "condition_numbers"):
-        if name in originals:
-            setattr(cli, name, timed(originals[name], name == "condition_numbers"))
+        setattr(cli, name, timed(originals[name], name == "condition_numbers"))
     cli._scale_cell, cli.ThreadPoolExecutor = timed_scale, Executor
     try:
         t, c = time.perf_counter(), time.thread_time()
@@ -228,8 +225,7 @@ def measure(eq, args):
     with tempfile.TemporaryDirectory() as tmp:
         run = measure_run(write_inputs(eq, Path(tmp)))
     return {
-        # The parent named the same threshold for one matrix's order.
-        "gil_free_rows": getattr(cli, "_GIL_FREE_ROWS", getattr(cli, "_WORKER_MIN_ORDER", None)),
+        "gil_free_rows": cli._GIL_FREE_ROWS,
         "gil": measure_gil(eq, args.seconds),
         "run_experiment": run,
     }

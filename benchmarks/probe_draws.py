@@ -5,9 +5,9 @@ Records, for n in {640, 3000, 8000, 20000}:
 - the median seconds of a 128-sweep `ssbin` (symmetric indefinite corpus
   matrix) and `snbin` (nonsymmetric corpus matrix), about ten entries per
   row, through `from_sparse`;
-- when the package draws probes ahead on a worker thread above a size
-  floor, the same two figures on each path at every size: ``inline_*``
-  with the floor raised out of reach and ``ahead_*`` with it lowered to 0;
+- the same two figures on each path at every size, where the package draws
+  probes ahead on a worker thread above a size floor: ``inline_*`` with
+  the floor raised out of reach and ``ahead_*`` with it lowered to 0;
 - the median seconds of one `ProbeSource.normal(n)`.
 
 The result is stored with `harness.py` under ``--label`` in
@@ -45,7 +45,7 @@ def measure(eq, args):
     from equilibrate import stochastic
 
     repeats = args.repeats
-    floor = getattr(stochastic, "_AHEAD_FLOOR", None)
+    floor = stochastic._AHEAD_FLOOR
     out = {"sweeps": SWEEPS, "repeats": repeats, "ahead_floor": floor, "sizes": []}
     for n in SIZES:
         ops = _operators(eq, n)
@@ -56,7 +56,7 @@ def measure(eq, args):
             "normal_s": median_s(lambda: source.normal(n), 20 * repeats),
         }
         # Both paths at every size, whichever one the floor picks.
-        for path, forced in (("inline", 1 << 62), ("ahead", 0)) if floor is not None else ():
+        for path, forced in (("inline", 1 << 62), ("ahead", 0)):
             stochastic._AHEAD_FLOOR = forced
             try:
                 row.update({f"{path}_{k}": v for k, v in _sweeps(eq, ops, repeats).items()})

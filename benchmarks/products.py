@@ -12,18 +12,18 @@ with about ten entries per row:
   then again through a second operator on the same matrix
   (``later_apply_s``, ``later_apply_transpose_s``): where the package keeps
   its layouts with the matrix, only the first pays for building them;
-- when the package has slab layouts, both paths at every size: the
-  ``np.bincount`` scatter, written out here as the package writes it
-  (``scatter_*``), and products of the slab layouts (``slab_*``), plus the
-  build of the forward and of the transposed layout (``build_s``,
-  ``build_transposed_s``, the latter with the transpose).
+- both paths at every size: the ``np.bincount`` scatter, written out here
+  as the package writes it (``scatter_*``), and products of the slab
+  layouts (``slab_*``), plus the build of the forward and of the transposed
+  layout (``build_s``, ``build_transposed_s``, the latter with the
+  transpose).
 
-With slab layouts it also records, at n = 20000, both paths on the same
-matrix with one row lengthened to 50..800 entries (``long_rows``): each
-entry of the longest row adds a slab, which is what the width bound guards.
-``slabs_chosen`` says whether the package's products take the slabs there.
+It also records, at n = 20000, both paths on the same matrix with one row
+lengthened to 50..800 entries (``long_rows``): each entry of the longest
+row adds a slab, which is what the width bound guards. ``slabs_chosen``
+says whether the package's products take the slabs there.
 
-Last, with slab layouts, ``exact`` holds the median seconds of
+Last, ``exact`` holds the median seconds of
 `equilibrate_2norm` at n = 3000 and 20000 on a nonsymmetric and an spd
 corpus matrix at budgets 4, 16 and 64: ``default_s`` on the path the
 package picks for the squared matrix (``slabs_chosen``), and ``scatter_s``
@@ -65,7 +65,10 @@ def _scatter(m, x, transpose=False):
 
 def _layout(kernels, m):
     """The slab layout of m, built whatever path m's products take."""
-    return kernels._Layout(np.diff(m.indptr), m.rows, m.indices, m.data)
+    try:
+        return kernels._Layout(m)
+    except TypeError:  # the parent's signature: row lengths, then COO arrays
+        return kernels._Layout(np.diff(m.indptr), m.rows, m.indices, m.data)
 
 
 def _paths(kernels, m, x, y, repeats):
@@ -130,12 +133,7 @@ def measure(eq, args):
     from equilibrate import _kernels
 
     repeats = args.repeats
-    slabs = hasattr(_kernels, "_Layout")
-    out = {
-        "repeats": repeats,
-        "slab_min_width": getattr(_kernels, "SLAB_MIN_WIDTH", None),
-        "sizes": [],
-    }
+    out = {"repeats": repeats, "slab_min_width": _kernels.SLAB_MIN_WIDTH, "sizes": []}
     rng = np.random.default_rng(6)
     for n in SIZES:
         m = _nonsymmetric(eq, n)
@@ -150,31 +148,29 @@ def measure(eq, args):
             "slabs_chosen": bool(m._slabs),
             **_first_and_later(eq, m, x, y, repeats // 5),
         }
-        if slabs:
-            row.update(_paths(_kernels, m, x, y, repeats))
-            row["build_s"] = median_s(lambda: _layout(_kernels, m), repeats // 5)
-            row["build_transposed_s"] = median_s(
-                lambda: _layout(_kernels, m.transpose()), repeats // 5
-            )
+        row.update(_paths(_kernels, m, x, y, repeats))
+        row["build_s"] = median_s(lambda: _layout(_kernels, m), repeats // 5)
+        row["build_transposed_s"] = median_s(
+            lambda: _layout(_kernels, m.transpose()), repeats // 5
+        )
         out["sizes"].append(row)
-    if slabs:
-        out["long_rows"] = []
-        m = _nonsymmetric(eq, SIZES[-1])
-        for length in LONG_ROWS:
-            cols = np.concatenate([m.indices, rng.choice(m.ncols, length, replace=False)])
-            rows = np.concatenate([m.rows, np.zeros(length, dtype=np.int64)])
-            vals = np.concatenate([m.data, np.ones(length)])
-            longer = eq.SparseMatrix.from_coo(m.nrows, m.ncols, rows, cols, vals)
-            x = rng.standard_normal(m.ncols)
-            out["long_rows"].append(
-                {
-                    "longest_row": int(np.diff(longer.indptr).max()),
-                    "nnz": longer.nnz,
-                    "slabs_chosen": _slabs_chosen(eq, longer),
-                    **_paths(_kernels, longer, x, x, repeats),
-                }
-            )
-        out["exact"] = _exact(eq, _kernels, max(3, repeats // 10))
+    out["long_rows"] = []
+    m = _nonsymmetric(eq, SIZES[-1])
+    for length in LONG_ROWS:
+        cols = np.concatenate([m.indices, rng.choice(m.ncols, length, replace=False)])
+        rows = np.concatenate([m.rows, np.zeros(length, dtype=np.int64)])
+        vals = np.concatenate([m.data, np.ones(length)])
+        longer = eq.SparseMatrix.from_coo(m.nrows, m.ncols, rows, cols, vals)
+        x = rng.standard_normal(m.ncols)
+        out["long_rows"].append(
+            {
+                "longest_row": int(np.diff(longer.indptr).max()),
+                "nnz": longer.nnz,
+                "slabs_chosen": _slabs_chosen(eq, longer),
+                **_paths(_kernels, longer, x, x, repeats),
+            }
+        )
+    out["exact"] = _exact(eq, _kernels, max(3, repeats // 10))
     return out
 
 

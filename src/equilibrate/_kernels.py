@@ -24,9 +24,11 @@ Why the bits agree: ``np.bincount`` adds each row's terms to +0.0 in stored
 order, and the slab loop adds the k-th term of every row in slab k, so each
 row is summed from +0.0 in the same order. The matrix (which is immutable)
 keeps the decision in ``m._slabs``: ``()`` for the scatter, or its
-``[forward, transposed]`` layouts, the transposed one built on the first
-transpose product and shared with the forward one when M equals M.T. Each
-layout holds a reordered copy of the entries, 16 bytes per stored entry
+``[forward, transposed]`` layouts. The first transpose product fills the
+second slot: with the forward layout when `SparseMatrix.is_symmetric`, else
+with the layout of `SparseMatrix.transpose`, whose arrays live only while
+it is built. A `_Layout` lays out whichever matrix it is given. Each layout
+holds a reordered copy of the entries, 16 bytes per stored entry
 plus 8 per row, for as long as the matrix lives. Layouts are read-only and
 each product allocates its own buffers, so one matrix can serve several
 threads at once.
@@ -72,7 +74,7 @@ def rmatvec(m, x):
     if slabs[1] is None:
         with _build:
             if slabs[1] is None:
-                slabs[1] = _transposed(m, slabs[0])
+                slabs[1] = slabs[0] if m.is_symmetric() else _Layout(m.transpose())
     return slabs[1].product(x)
 
 
@@ -86,30 +88,8 @@ def _decided(m):
     if m._slabs is None:
         with _build:
             if m._slabs is None:
-                m._slabs = (
-                    [_Layout(np.diff(m.indptr), m.rows, m.indices, m.data), None]
-                    if wants_slabs(m)
-                    else ()
-                )
+                m._slabs = [_Layout(m), None] if wants_slabs(m) else ()
     return m._slabs
-
-
-def _transposed(m, forward):
-    """The layout of M.T, which is ``forward`` when M equals M.T (memoized in m)."""
-    if m._symmetric:
-        return forward
-    # M.T's row lengths and row-major order, as in `SparseMatrix.transpose`:
-    # the keys are unique, so any sort orders them the same way.
-    lengths = np.bincount(m.indices, minlength=m.ncols)
-    order = np.argsort(m.indices * np.int64(m.nrows) + m.rows)
-    if m._symmetric is None:  # what `SparseMatrix.is_symmetric` compares
-        m._symmetric = np.array_equal(lengths, np.diff(m.indptr)) and all(
-            np.array_equal(a[order], b)
-            for a, b in ((m.indices, m.rows), (m.rows, m.indices), (m.data, m.data))
-        )
-        if m._symmetric:
-            return forward
-    return _Layout(lengths, m.indices, m.rows, m.data, order)
 
 
 class _Layout:
@@ -127,11 +107,9 @@ class _Layout:
 
     __slots__ = ("index", "value", "inverse", "_runs")
 
-    def __init__(self, lengths, rows, cols, vals, order=None):
-        """Lay out entry p, ``vals[p]`` in row ``rows[p]`` and column
-        ``cols[p]``, of a matrix with ``lengths[i]`` entries in row i. Taken
-        in ``order`` (by default as they come), the entries must run row
-        after row, each row's in stored order."""
+    def __init__(self, m):
+        """Lay out the stored entries of SparseMatrix m."""
+        lengths, rows = np.diff(m.indptr), m.rows
         n = lengths.size
         longest_first = np.argsort(-lengths, kind="stable")
         inverse = np.empty_like(longest_first)
@@ -140,22 +118,18 @@ class _Layout:
         widths = n - np.cumsum(np.bincount(lengths))[:-1]
         bounds = np.zeros(widths.size + 1, dtype=np.int64)
         np.cumsum(widths, out=bounds[1:])
-        # Entry p is the rank[p]-th of its row: its place in the order, less
-        # the place of its row's first entry. The steps run in place where
-        # they can, so that a build holds few nnz-sized temporaries at once.
-        if order is None:
-            rank = np.arange(rows.size)
-        else:
-            rank = np.empty_like(order)
-            rank[order] = np.arange(rows.size)
-        rank -= (np.cumsum(lengths) - lengths)[rows]
+        # Entry p is the rank[p]-th of its row: p less the place of its row's
+        # first entry. The steps run in place where they can, so that a build
+        # holds few nnz-sized temporaries at once.
+        rank = np.arange(rows.size)
+        rank -= m.indptr[rows]
         dest = bounds[rank]
         del rank
         dest += inverse[rows]
         index = np.empty(rows.size, dtype=np.int64)
-        index[dest] = cols
+        index[dest] = m.indices
         value = np.empty(rows.size)
-        value[dest] = vals
+        value[dest] = m.data
         for a in (index, value, inverse):
             a.setflags(write=False)
         self.index, self.value, self.inverse = index, value, inverse

@@ -28,9 +28,10 @@ class SparseMatrix:
     accepts entries in any order and sums duplicate (row, col) pairs
     (Matrix Market convention); derived matrices are stored without
     re-sorting. Since nothing can change a matrix, the answer of
-    `is_symmetric` is memoized, and so is the product path that `_kernels`
-    picks on the first product, with the slab layouts of a large matrix
-    (``_slabs``).
+    `is_symmetric` is memoized (``_symmetric``, set only in this module), and
+    so is the product path that `_kernels` picks on the first product, with
+    the slab layouts of a large matrix (``_slabs``). The layout for M.T
+    products is that of `transpose`, or M's own when `is_symmetric`.
     """
 
     __slots__ = ("nrows", "ncols", "indptr", "indices", "data", "rows", "_symmetric", "_slabs")
@@ -124,9 +125,18 @@ class SparseMatrix:
         )
 
     def is_symmetric(self):
-        """Exact symmetry of both pattern and values."""
+        """Exact symmetry of both pattern and values.
+
+        Unequal row and column lengths answer False without a transpose.
+        """
         if self._symmetric is None:
-            self._symmetric = self.nrows == self.ncols and self == self.transpose()
+            self._symmetric = (
+                self.nrows == self.ncols
+                and np.array_equal(
+                    np.diff(self.indptr), np.bincount(self.indices, minlength=self.ncols)
+                )
+                and self == self.transpose()
+            )
         return self._symmetric
 
     def __eq__(self, other):

@@ -27,7 +27,7 @@ from equilibrate.corpus import CorpusSpec, generate, spec_name
 from equilibrate.diagnostics import condition_number, condition_numbers, ratio
 from equilibrate.errors import ConfigError
 from equilibrate.io import REPORT_FIELDS, read_matrix_market
-from equilibrate.matrix import SparseMatrix, scale
+from equilibrate.matrix import DiagonalScaling, SparseMatrix, scale
 from equilibrate.io import write_matrix_market
 
 
@@ -115,6 +115,7 @@ def test_parse_config_defaults(tmp_path):
         ("matrix = a.mtx\nalgorithms = inf_norm, inf_norm\n", "algorithms must not repeat"),
         ("matrix = a.mtx\nalgorithms = inf_norm\nbudgets = 32, 32\n", "budgets must not repeat"),
         ("corpus = family=what n=5\nalgorithms = ssbin\n", "unknown family"),
+        ("matrix = a.mtx\nalgorithms = inf_norm\ncond_cap = 0\n", "cond_cap must be positive"),
     ],
 )
 def test_parse_config_errors(tmp_path, body, message):
@@ -213,6 +214,33 @@ def test_run_experiment_zero_row_matrix_fails_per_cell(tmp_path):
     rows = run_experiment(cfg)
     assert len(rows) == 1
     assert rows[0].status.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "left, message",
+    [
+        (lambda n: np.ones(n + 1), "scaling vectors do not conform"),  # `scale` rejects it
+        (lambda n: np.r_[1e-200, np.ones(n - 1)], "zero row"),  # `ratio` rejects it
+    ],
+)
+def test_run_experiment_rejected_scaling_fails_its_cells_only(monkeypatch, left, message):
+    def rejected(m, budget, seed, on_iteration=None):
+        return DiagonalScaling(left(m.nrows), np.ones(m.ncols))
+
+    monkeypatch.setitem(TABLE, "inf_norm", dataclasses.replace(TABLE["inf_norm"], scaling=rejected))
+    cfg = ExperimentConfig(
+        inputs=[_SYM_SPEC], algorithms=("inf_norm", "jacobi"), budgets=(4,), seeds_per_run=2
+    ).validate()
+    rows = run_experiment(cfg)
+    assert len(rows) == 2 * 2
+    for r in rows:
+        assert r.wall_time is not None and r.cond_before is not None
+        if r.algorithm == "inf_norm":
+            assert r.status.startswith("error: ") and message in r.status, r
+            assert r.ratio_after is None and r.cond_after is None
+        else:
+            assert r.status == "ok", r
+            assert r.ratio_after is not None and r.cond_after is not None
 
 
 def test_run_experiment_is_reproducible_except_wall_time():
@@ -800,6 +828,21 @@ def test_main_run_stdout_csv(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].split(",") == REPORT_FIELDS
     assert len(lines) == 2
+
+
+def test_main_run_writes_to_the_out_line_of_the_config(tmp_path, capsys):
+    mtx = _identity_mtx(tmp_path)
+    out = tmp_path / "from_config.csv"
+    cfg_path = _write_config(
+        tmp_path / "exp.cfg",
+        f"matrix = {mtx}\nalgorithms = jacobi\nbudgets = 4\nseeds_per_run = 1\nout = {out}\n",
+    )
+    assert parse_config(cfg_path).out == str(out)
+    assert main(["run", "--config", cfg_path]) == 0
+    assert f"wrote 1 rows to {out}" in capsys.readouterr().out
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == REPORT_FIELDS and len(rows) == 2
 
 
 def test_main_run_json_format(tmp_path):

@@ -64,6 +64,8 @@ def test_invalid_shapes_and_indices_raise():
         SparseMatrix.from_coo(0, 3, [], [], [])
     with pytest.raises(DimensionMismatch):
         SparseMatrix.from_dense(np.zeros((2, 0)))
+    with pytest.raises(DimensionMismatch, match="2-D"):
+        SparseMatrix.from_dense(np.ones(3))
     with pytest.raises(DimensionMismatch):
         SparseMatrix.from_coo(2, 2, [2], [0], [1.0])
     with pytest.raises(DimensionMismatch):
@@ -129,6 +131,21 @@ def test_transpose_and_symmetry(rng):
     sym = SparseMatrix.from_dense(sym_dense)
     assert sym.is_symmetric()
     assert sym.transpose() == sym
+
+
+def test_unequal_row_and_column_lengths_are_not_symmetric_without_a_transpose(monkeypatch):
+    # Row lengths 2, 1, 1 and column lengths 2, 2, 0.
+    m = SparseMatrix.from_coo(3, 3, [0, 0, 1, 2], [0, 1, 1, 0], [1.0, 2.0, 3.0, 4.0])
+    transposed = []
+    original = SparseMatrix.transpose
+
+    def counting(self):
+        transposed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SparseMatrix, "transpose", counting)
+    assert m.is_symmetric() is False
+    assert transposed == []
 
 
 def test_diagonal_fills_missing_entries_with_zero():
@@ -267,6 +284,20 @@ def test_linear_operator_from_callables():
     op = LinearOperator(2, 2, lambda v: 2.0 * v, lambda v: 0.5 * v)
     np.testing.assert_array_equal(op.apply(np.array([1.0, 3.0])), [2.0, 6.0])
     np.testing.assert_array_equal(op.apply_transpose(np.array([2.0, 4.0])), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("nrows, ncols", [(0, 2), (2, 0), (-1, 2)])
+def test_linear_operator_dimensions_must_be_positive(nrows, ncols):
+    with pytest.raises(DimensionMismatch, match="positive"):
+        LinearOperator(nrows, ncols, lambda v: v, lambda v: v)
+
+
+def test_linear_operator_rejects_wrong_sized_callback_results():
+    op = LinearOperator(2, 3, lambda v: np.ones(3), lambda v: np.ones(2))
+    with pytest.raises(DimensionMismatch, match="apply callback"):
+        op.apply(np.ones(3))
+    with pytest.raises(DimensionMismatch, match="apply_transpose callback"):
+        op.apply_transpose(np.ones(2))
 
 
 # Slab products. Matrices that `_kernels.wants_slabs` multiply through a
