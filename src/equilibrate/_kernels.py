@@ -25,10 +25,10 @@ order, and the slab loop adds the k-th term of every row in slab k, so each
 row is summed from +0.0 in the same order. The matrix (which is immutable)
 keeps the decision in ``m._slabs``: ``()`` for the scatter, or its
 ``[forward, transposed]`` layouts. The first transpose product fills the
-second slot: with the forward layout when `SparseMatrix.is_symmetric`, else
-with the layout of `SparseMatrix.transpose`, whose arrays live only while
-it is built. A `_Layout` lays out whichever matrix it is given. Each layout
-holds a reordered copy of the entries, 16 bytes per stored entry
+second slot from `SparseMatrix._distinct_transpose`: with the forward layout
+when M equals M.T, else with the layout of M.T, whose arrays live only
+while it is built. A `_Layout` lays out whichever matrix it is given. Each
+layout holds a reordered copy of the entries, 16 bytes per stored entry
 plus 8 per row, for as long as the matrix lives. Layouts are read-only and
 each product allocates its own buffers, so one matrix can serve several
 threads at once.
@@ -74,7 +74,8 @@ def rmatvec(m, x):
     if slabs[1] is None:
         with _build:
             if slabs[1] is None:
-                slabs[1] = slabs[0] if m.is_symmetric() else _Layout(m.transpose())
+                t = m._distinct_transpose()
+                slabs[1] = slabs[0] if t is None else _Layout(t)
     return slabs[1].product(x)
 
 

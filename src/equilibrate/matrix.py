@@ -31,7 +31,8 @@ class SparseMatrix:
     `is_symmetric` is memoized (``_symmetric``, set only in this module), and
     so is the product path that `_kernels` picks on the first product, with
     the slab layouts of a large matrix (``_slabs``). The layout for M.T
-    products is that of `transpose`, or M's own when `is_symmetric`.
+    products is M's own when M equals M.T, else that of `transpose`; the one
+    transpose that decides which also answers `is_symmetric`.
     """
 
     __slots__ = ("nrows", "ncols", "indptr", "indices", "data", "rows", "_symmetric", "_slabs")
@@ -135,9 +136,18 @@ class SparseMatrix:
                 and np.array_equal(
                     np.diff(self.indptr), np.bincount(self.indices, minlength=self.ncols)
                 )
-                and self == self.transpose()
+                and self._distinct_transpose() is None
             )
         return self._symmetric
+
+    def _distinct_transpose(self):
+        """M.T, or None when M equals it; `is_symmetric` is memoized either way."""
+        if self._symmetric:
+            return None
+        t = self.transpose()
+        if self._symmetric is None:
+            self._symmetric = self == t
+        return None if self._symmetric else t
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):

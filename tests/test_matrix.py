@@ -133,19 +133,25 @@ def test_transpose_and_symmetry(rng):
     assert sym.transpose() == sym
 
 
-def test_unequal_row_and_column_lengths_are_not_symmetric_without_a_transpose(monkeypatch):
-    # Row lengths 2, 1, 1 and column lengths 2, 2, 0.
-    m = SparseMatrix.from_coo(3, 3, [0, 0, 1, 2], [0, 1, 1, 0], [1.0, 2.0, 3.0, 4.0])
-    transposed = []
+@pytest.fixture
+def transposes(monkeypatch):
+    """Every matrix that `SparseMatrix.transpose` is called on while the test runs."""
+    called = []
     original = SparseMatrix.transpose
 
     def counting(self):
-        transposed.append(self)
+        called.append(self)
         return original(self)
 
     monkeypatch.setattr(SparseMatrix, "transpose", counting)
+    return called
+
+
+def test_unequal_row_and_column_lengths_are_not_symmetric_without_a_transpose(transposes):
+    # Row lengths 2, 1, 1 and column lengths 2, 2, 0.
+    m = SparseMatrix.from_coo(3, 3, [0, 0, 1, 2], [0, 1, 1, 0], [1.0, 2.0, 3.0, 4.0])
     assert m.is_symmetric() is False
-    assert transposed == []
+    assert transposes == []
 
 
 def test_diagonal_fills_missing_entries_with_zero():
@@ -485,6 +491,21 @@ def test_a_symmetric_matrix_holds_one_layout(rng, layout_builds):
         assert transposed is not forward
         assert not k.is_symmetric() and k != k.transpose()
     assert len(layout_builds) == 5
+
+
+def test_a_mirrored_nonsymmetric_matrix_is_transposed_once(rng, transposes):
+    # Equal row and column lengths, so only M.T tells M from M.T. The first
+    # transpose product lays out the M.T it compared, and that comparison
+    # answers is_symmetric too.
+    m = _large_matrix()
+    data = m.data.copy()
+    data[np.flatnonzero(m.rows != m.indices)[0]] *= 2.0
+    near = SparseMatrix.from_coo(m.nrows, m.ncols, m.rows, m.indices, data)
+    y = rng.standard_normal(near.nrows)
+    np.testing.assert_array_equal(_bits(near.rmatvec(y)), _bits(_scatter(near, y, True)))
+    assert near._slabs[1] is not near._slabs[0]
+    assert near.is_symmetric() is False
+    assert transposes == [near]
 
 
 def _race(call, count=4):
