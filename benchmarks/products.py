@@ -63,16 +63,8 @@ def _scatter(m, x, transpose=False):
     return y.astype(np.float64, copy=False)
 
 
-def _layout(kernels, m):
-    """The slab layout of m, built whatever path m's products take."""
-    try:
-        return kernels._Layout(m)
-    except TypeError:  # the parent's signature: row lengths, then COO arrays
-        return kernels._Layout(np.diff(m.indptr), m.rows, m.indices, m.data)
-
-
 def _paths(kernels, m, x, y, repeats):
-    forward, transposed = _layout(kernels, m), _layout(kernels, m.transpose())
+    forward, transposed = kernels._Layout(m), kernels._Layout(m.transpose())
     return {
         "scatter_matvec_s": median_s(lambda: _scatter(m, x), repeats),
         "scatter_rmatvec_s": median_s(lambda: _scatter(m, y, transpose=True), repeats),
@@ -149,9 +141,9 @@ def measure(eq, args):
             **_first_and_later(eq, m, x, y, repeats // 5),
         }
         row.update(_paths(_kernels, m, x, y, repeats))
-        row["build_s"] = median_s(lambda: _layout(_kernels, m), repeats // 5)
+        row["build_s"] = median_s(lambda: _kernels._Layout(m), repeats // 5)
         row["build_transposed_s"] = median_s(
-            lambda: _layout(_kernels, m.transpose()), repeats // 5
+            lambda: _kernels._Layout(m.transpose()), repeats // 5
         )
         out["sizes"].append(row)
     out["long_rows"] = []

@@ -14,6 +14,7 @@ O(nnz) at every size, retrying with a reseeded generator before giving up.
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -151,24 +152,17 @@ def read_spec_file(path):
 def _upper_pairs(rng, n, count):
     """Draw ``count`` distinct index pairs (i, j) with i < j, in first-drawn order."""
     count = min(count, n * (n - 1) // 2)
-    if count <= 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    kept = np.empty(0, dtype=np.int64)  # keys i * n + j, in the order drawn
-    seen = np.array([n * n], dtype=np.int64)  # the same keys sorted, then one none reaches
-    while kept.size < count:
-        draw = max(64, int(2.5 * (count - kept.size)))
+    # Distinct keys i * n + j in first-drawn order. A round costs only its own
+    # draws, so the thousands of small rounds near full density stay cheap;
+    # pairs from zip, not a dict.fromkeys copy, keep the peak memory lower.
+    kept = {}
+    while len(kept) < count:
+        draw = max(64, int(2.5 * (count - len(kept))))
         i = rng.integers(0, n, size=draw)
         j = rng.integers(0, n, size=draw)
-        keep = i < j
-        new = i[keep] * n + j[keep]
-        new = new[np.sort(np.unique(new, return_index=True)[1])]
-        new = new[seen[np.searchsorted(seen, new)] != new]
-        new = new[: count - kept.size]
-        if new.size:
-            kept = np.concatenate([kept, new])
-            ordered = np.sort(new)
-            seen = np.insert(seen, np.searchsorted(seen, ordered), ordered)
-    return kept // n, kept % n
+        kept.update(zip((i * n + j)[i < j].tolist(), repeat(None)))
+    keys = np.fromiter(kept, dtype=np.int64, count=len(kept))[:count]
+    return keys // n, keys % n
 
 
 @dataclass(frozen=True)
@@ -210,10 +204,7 @@ def _sym_sparse_parts(rng, spec, definite):
     cols = np.concatenate([uj, ui])
     vals = np.concatenate([off, off])
     if definite:
-        margin = np.abs(off)
-        dom = np.zeros(n)
-        np.add.at(dom, ui, margin)
-        np.add.at(dom, uj, margin)
+        dom = np.bincount(rows, weights=np.abs(vals), minlength=n)
         diag = dom + rng.uniform(0.5, 1.5, size=n)
     else:
         diag = rng.standard_normal(n)
@@ -324,6 +315,8 @@ def _build_reducible(rng, spec):
 
 def _build(rng, spec):
     """The matrix a spec describes and the witness of its total support."""
+    if spec.family == "symmetric_indefinite" and spec.n < 2:
+        raise GenerationFailed("symmetric_indefinite needs n >= 2")
     if spec.family in ("spd", "symmetric_indefinite"):
         definite = spec.family == "spd"
         if spec.cond_target is not None:
@@ -419,8 +412,6 @@ def generate(spec):
         rng = np.random.Generator(np.random.PCG64([spec.seed, attempt]))
         try:
             m, witness = _build(rng, spec)
-        except GenerationFailed:
-            raise
         except np.linalg.LinAlgError as exc:
             failure = str(exc)
             continue

@@ -140,7 +140,7 @@ def sym_sinkhorn_knopp(b, opts=None, y0=None, on_iteration=None):
             dev = float(np.max(np.abs(x * b.matvec(x) - 1.0)))
         history.records.append((k, dev, dev))
         if dev < best_dev and _usable(dev, x):
-            best, best_dev = x, dev
+            best, best_dev = x.copy(), dev
         if on_iteration is not None:
             on_iteration(k, x)
         if dev < opts.tol:

@@ -79,7 +79,7 @@ def read_matrix_market(path):
         nrows, ncols, nnz = (int(p) for p in parts)
     except ValueError:
         raise MatrixMarketError("size line must hold three integers", line=lineno) from None
-    if nrows <= 0 or ncols <= 0 or nnz < 0:
+    if nrows <= 0 or ncols <= 0 or nnz < 0 or nrows * ncols >= 2**63:
         raise MatrixMarketError("size line values out of range", line=lineno)
     if symmetric and nrows != ncols:
         raise MatrixMarketError("symmetric matrix must be square", line=lineno)

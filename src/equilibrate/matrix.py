@@ -74,6 +74,8 @@ class SparseMatrix:
         """
         if nrows <= 0 or ncols <= 0:
             raise DimensionMismatch("matrix dimensions must be positive")
+        if nrows * ncols >= 2**63:  # int64 keys row * ncols + col would wrap
+            raise DimensionMismatch("matrix has 2**63 positions or more")
         keep = vals != 0.0
         if not keep.all():
             rows, cols, vals, indptr = rows[keep], cols[keep], vals[keep], None

@@ -14,10 +14,10 @@ blends run. Operator callables and ``on_iteration`` always run on the
 caller's thread, and the probe stream is consumed in the same order as
 without the thread, so equal seeds still give bitwise-equal results.
 
-A sweep scales its probe and blends its squared sample in place, in arrays
-it allocated itself. It never writes into a vector that an operator
-returned, nor into the running estimates, which ``ssbin``'s two copies
-share while they mirror each other.
+Every sweep of either method is one call of `_update`, the paper's
+averaged update. It scales its probe and blends its squared sample in
+place, in arrays it allocated itself; see its docstring for what it must
+not write into.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -159,27 +159,27 @@ def _require_square_op(a):
         raise DimensionMismatch("stochastic equilibration requires a square operator")
 
 
-def _blend(state, sample, total, omega):
-    """(1 - omega) * (state / Σ state) + omega * (sample / total).
+def _update(state, draw, weights, apply, omega, what):
+    """One averaged update: (1 - omega) * state / Σ state + omega * y² / Σ y².
 
-    ``total`` is Σ sample, as `_squared_or_raise` returns it. The result is
-    written into ``sample``, which must be the caller's own temporary;
-    ``state`` is only read.
+    y is ``apply`` of a fresh probe divided by sqrt(``weights``). The result
+    is computed in y²'s own array. Only the drawn probe and y² are written
+    into: never ``state`` or ``weights``, which ``ssbin``'s two copies share
+    while they mirror each other, nor the vector ``apply`` returned. A zero
+    Σ y² raises `DegenerateProbe`, whose message names ``what``.
     """
+    u = draw()
+    u /= np.sqrt(weights)
+    y = apply(u)
+    sample = y * y
+    total = sample.sum()
+    if total == 0.0:
+        raise DegenerateProbe(f"probe annihilated by the operator while updating {what}")
     prior = state / state.sum()
     prior *= 1.0 - omega
     sample /= total
     sample *= omega
     return np.add(prior, sample, out=sample)
-
-
-def _squared_or_raise(v, what):
-    """The elementwise square of ``v`` and its sum, which must not be zero."""
-    sq = v * v
-    total = sq.sum()
-    if total == 0.0:
-        raise DegenerateProbe(f"probe annihilated by the operator while updating {what}")
-    return sq, total
 
 
 def snbin(a, nmv, probes=0, on_iteration=None):
@@ -200,14 +200,8 @@ def snbin(a, nmv, probes=0, on_iteration=None):
     with _draws(probes, [a.ncols, a.nrows] * nmv) as draw:
         for k in range(1, nmv + 1):
             omega = sched.omega(k)
-            u = draw()
-            u /= np.sqrt(gamma)
-            y = a.apply(u)
-            rho = _blend(rho, *_squared_or_raise(y, "row scaling"), omega)
-            u = draw()
-            u /= np.sqrt(rho)
-            z = a.apply_transpose(u)
-            gamma = _blend(gamma, *_squared_or_raise(z, "column scaling"), omega)
+            rho = _update(rho, draw, gamma, a.apply, omega, "row scaling")
+            gamma = _update(gamma, draw, rho, a.apply_transpose, omega, "column scaling")
             if on_iteration is not None:
                 on_iteration(k, DiagonalScaling(1.0 / np.sqrt(rho), 1.0 / np.sqrt(gamma)))
     return DiagonalScaling(1.0 / np.sqrt(rho), 1.0 / np.sqrt(gamma))
@@ -235,11 +229,7 @@ def ssbin(a, nmv, probes=0, no_switch=False, on_iteration=None):
     mirror_until = min(32, nmv // 2)
     with _draws(probes, [n] * nmv) as draw:
         for k in range(1, nmv + 1):
-            u = draw()
-            u /= np.sqrt(dp)
-            y = a.apply(u)
-            omega = sched.omega(k)
-            d = _blend(d, *_squared_or_raise(y, "symmetric scaling"), omega)
+            d = _update(d, draw, dp, a.apply, sched.omega(k), "symmetric scaling")
             if no_switch or k < mirror_until:
                 dp = d
             else:

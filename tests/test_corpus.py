@@ -188,9 +188,24 @@ def test_scale_spread_inflates_norm_ratio():
     assert ratio(spread) > 10 * ratio(flat)
 
 
-def test_reducible_too_small_without_blocks_fails():
-    with pytest.raises(GenerationFailed):
-        generate(CorpusSpec(family="reducible_blocks", n=3, density=0.5))
+@pytest.mark.parametrize(
+    "family,n,message",
+    [
+        ("reducible_blocks", 3, "reducible family needs n >= 4"),
+        ("symmetric_indefinite", 1, "symmetric_indefinite needs n >= 2"),
+    ],
+)
+def test_reducible_too_small_without_blocks_fails(family, n, message):
+    with pytest.raises(GenerationFailed, match=message):
+        generate(CorpusSpec(family=family, n=n, density=0.5))
+
+
+@pytest.mark.parametrize("n,density", [(1, 0.02), (3, 0.01)])
+def test_spec_without_off_diagonal_pairs_generates_a_diagonal(n, density):
+    m = generate(CorpusSpec(family="spd", n=n, density=density))
+    assert m.nnz == n
+    assert np.array_equal(m.rows, m.indices)
+    assert np.all(m.data > 0.0)
 
 
 def test_large_generation_has_total_support():

@@ -112,6 +112,17 @@ def test_callback_sees_every_iteration(rng):
     assert seen == [k for k, _, _ in history.records]
 
 
+def test_symmetric_result_survives_a_callback_that_writes_its_iterate():
+    b = SparseMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
+    expected, _ = sym_sinkhorn_knopp(b)
+
+    def clobber(k, x):
+        x[:] = -1.0
+
+    x, _ = sym_sinkhorn_knopp(b, on_iteration=clobber)
+    np.testing.assert_array_equal(x, expected)
+
+
 def test_zero_row_and_column_raise():
     with pytest.raises(ZeroRowOrColumn, match="zero row"):
         sinkhorn_knopp(SparseMatrix.from_dense([[1.0, 1.0], [0.0, 0.0]]))

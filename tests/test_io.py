@@ -111,6 +111,14 @@ def test_symmetric_read_mirrors_off_diagonals(tmp_path):
         ("%%MatrixMarket matrix coordinate real general\n0 2 1\n", 2),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n", 2),
         ("%%MatrixMarket matrix coordinate real general\n1_0 2 1\n", 2),
+        # 2**63 positions or more: int64 keys row * ncols + col would wrap.
+        ("%%MatrixMarket matrix coordinate real general\n5 4611686018427387904 1\n5 6 1.0\n", 2),
+        ("%%MatrixMarket matrix coordinate real general\n1 9223372036854775808 1\n1 6 1.0\n", 2),
+        (
+            "%%MatrixMarket matrix coordinate real general\n10 1000000000000000000 2\n"
+            "10 500000000000000000 1.0\n1 1 1.0\n",
+            2,
+        ),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n", 3),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 abc\n", 3),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", 3),
