@@ -8,7 +8,10 @@ Records, for n in {640, 3000, 8000, 20000}:
 - the same two figures on each path at every size, where the package draws
   probes ahead on a worker thread above a size floor: ``inline_*`` with
   the floor raised out of reach and ``ahead_*`` with it lowered to 0;
-- the median seconds of one `ProbeSource.normal(n)`.
+- the median seconds of one `ProbeSource.normal(n)`;
+- beside each method's seconds, ``*_elements_drawn``: the elements that
+  one call draws from its `ProbeSource`, which must equal the sum of its
+  probe sizes (128·n for `ssbin`, 256·n for `snbin`) on every path.
 
 The result is stored with `harness.py` under ``--label`` in
 ``BENCH_probe_draws.json``; with ``--src``, a parent checkout is measured
@@ -33,12 +36,27 @@ def _operators(eq, n):
     return eq.from_sparse(sym), eq.from_sparse(nonsym)
 
 
+def _counting_source(eq, seed):
+    """A `ProbeSource` of ``eq`` that counts the elements drawn from it."""
+
+    class Counting(eq.ProbeSource):
+        elements = 0
+
+        def normal(self, size):
+            self.elements += size
+            return super().normal(size)
+
+    return Counting(seed)
+
+
 def _sweeps(eq, ops, repeats):
-    sym_op, nonsym_op = ops
-    return {
-        "ssbin_s": median_s(lambda: eq.ssbin(sym_op, SWEEPS, eq.ProbeSource(3)), repeats),
-        "snbin_s": median_s(lambda: eq.snbin(nonsym_op, SWEEPS, eq.ProbeSource(4)), repeats),
-    }
+    out = {}
+    for (name, method), op, seed in zip((("ssbin", eq.ssbin), ("snbin", eq.snbin)), ops, (3, 4)):
+        out[f"{name}_s"] = median_s(lambda: method(op, SWEEPS, eq.ProbeSource(seed)), repeats)
+        source = _counting_source(eq, seed)
+        method(op, SWEEPS, source)
+        out[f"{name}_elements_drawn"] = source.elements
+    return out
 
 
 def measure(eq, args):

@@ -136,6 +136,13 @@ def test_measurement_runs_at_a_tiny_size(script, monkeypatch):
     if script == "products":
         assert [row["n"] for row in result["exact"]] == [300, 300]
         assert "slab_floor" not in result and "slabs_chosen" in result["sizes"][0]
+    if script == "probe_draws":
+        # Every path draws exactly what the 4 sweeps use: n = 200 per ssbin
+        # sweep, 2n per snbin sweep.
+        row = result["sizes"][0]
+        for path in ("", "inline_", "ahead_"):
+            assert row[f"{path}ssbin_elements_drawn"] == 4 * 200
+            assert row[f"{path}snbin_elements_drawn"] == 2 * 4 * 200
     if script == "matrix_market":
         assert result["general"]["nnz"] > 0 and result["symmetric"]["nnz"] > 0
     if script == "condition_numbers":

@@ -20,6 +20,13 @@ def _freeze(a):
     return a
 
 
+def _check_shape(nrows, ncols):
+    if nrows <= 0 or ncols <= 0:
+        raise DimensionMismatch("matrix dimensions must be positive")
+    if nrows * ncols >= 2**63:  # int64 keys row * ncols + col would wrap
+        raise DimensionMismatch("matrix has 2**63 positions or more")
+
+
 class SparseMatrix:
     """Immutable sparse matrix in canonical form.
 
@@ -43,6 +50,7 @@ class SparseMatrix:
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         vals = np.asarray(vals, dtype=np.float64).ravel()
+        _check_shape(nrows, ncols)  # before the int64 keys below
         if not (rows.size == cols.size == vals.size):
             raise DimensionMismatch("coordinate arrays must have equal length")
         if rows.size:
@@ -72,10 +80,7 @@ class SparseMatrix:
         value is dropped, so a caller passing another matrix's pattern
         shares its arrays. ``symmetric`` presets the `is_symmetric` answer.
         """
-        if nrows <= 0 or ncols <= 0:
-            raise DimensionMismatch("matrix dimensions must be positive")
-        if nrows * ncols >= 2**63:  # int64 keys row * ncols + col would wrap
-            raise DimensionMismatch("matrix has 2**63 positions or more")
+        _check_shape(nrows, ncols)
         keep = vals != 0.0
         if not keep.all():
             rows, cols, vals, indptr = rows[keep], cols[keep], vals[keep], None

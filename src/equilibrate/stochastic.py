@@ -9,10 +9,10 @@ the running scaling estimate with the fresh one-sample estimate under a
 decaying weight, and square roots are deferred to the end.
 
 Probes do not depend on the iterate, so for large operators a background
-thread draws the next batch of probe vectors while the current products and
-blends run. Operator callables and ``on_iteration`` always run on the
-caller's thread, and the probe stream is consumed in the same order as
-without the thread, so equal seeds still give bitwise-equal results.
+thread draws the probe vectors in batches, the next batch while the current
+products and blends run. Operator callables and ``on_iteration`` always run
+on the caller's thread, and the probe stream is consumed in the same order
+as without the thread, so equal seeds still give bitwise-equal results.
 
 Every sweep of either method is one call of `_update`, the paper's
 averaged update. It scales its probe and blends its squared sample in
@@ -63,7 +63,7 @@ class ProbeSource:
     part of the contract: callers draw whole vectors in a fixed sequence, so
     equal seeds reproduce runs bit for bit. A source passed to `ssbin`,
     `snbin` or `estimate_bx` belongs to that call until it returns: the call
-    may draw its next probes on a background thread, so nothing else may
+    may draw its probes on a background thread, so nothing else may
     draw from the source meanwhile, neither another thread nor the
     operator callables or ``on_iteration`` on the caller's own thread.
     When the call returns or raises, the source is left exactly where
@@ -105,53 +105,47 @@ _BATCH_ELEMENTS = 1 << 16
 def _draws(probes, sizes):
     """``draw()`` returns ``probes.normal(size)`` for each of ``sizes`` in turn.
 
-    When every size reaches `_AHEAD_FLOOR`, the vectors come in batches:
-    the caller draws the first, and a worker thread draws each later one
-    while the caller uses the one before. A batch is one ``probes.normal``
-    call split into vectors, which consumes the stream exactly as separate
-    calls would. On an early exit the pending batch is waited for and the
-    generator is put back where drawing in sequence would have left it.
+    When every size reaches `_AHEAD_FLOOR`, the vectors come in batches,
+    all drawn by a worker thread: the caller takes a batch, asks for the
+    next one and hands out the vectors of the one it took. A batch is one
+    ``probes.normal`` call split into vectors, which consumes the stream
+    exactly as separate calls would. The body draws every size unless it
+    raises; then the draw in flight is waited for and the generator is put
+    back where drawing in sequence would have left it.
     """
     if min(sizes, default=0) < _AHEAD_FLOOR:
         yield map(probes.normal, sizes).__next__
         return
     per = max(1, _BATCH_ELEMENTS // max(sizes))
-    batches = iter([sizes[i : i + per] for i in range(0, len(sizes), per)])
+    batches = [sizes[i : i + per] for i in range(0, len(sizes), per)]
     bitgen = probes._rng.bit_generator
-    worker = ThreadPoolExecutor(max_workers=1)
-    pending = None  # generator state before the next batch, and its future
-    current = []  # vectors of the batch being handed out, last first
-    start = used = None  # generator state before that batch, elements handed out
+    # The generator state before the batch in hand, and the elements handed
+    # out of it: all that an early exit needs to put the generator back.
+    start, used = bitgen.state, 0
 
     def fetch(batch):
-        return np.split(probes.normal(sum(batch)), np.cumsum(batch[:-1]))
+        state = bitgen.state
+        return state, np.split(probes.normal(sum(batch)), np.cumsum(batch[:-1]))
 
-    def draw():
-        nonlocal pending, current, start, used
-        if not current:
-            if pending is None:
-                start, current = bitgen.state, fetch(next(batches))
-            else:
-                start, current = pending[0], pending[1].result()
-            current.reverse()
+    def vectors():
+        nonlocal start, used
+        ahead = worker.submit(fetch, batches[0])
+        for following in [*batches[1:], None]:
+            start, batch = ahead.result()
             used = 0
-            batch = next(batches, None)
-            pending = None if batch is None else (bitgen.state, worker.submit(fetch, batch))
-        vector = current.pop()
-        used += vector.size
-        return vector
+            if following is not None:
+                ahead = worker.submit(fetch, following)
+            for vector in batch:
+                used += vector.size
+                yield vector
 
     try:
-        yield draw
-    finally:
-        if pending is not None:
-            pending[1].exception()  # waits for the draw, which must end first
-        if current:
-            bitgen.state = start
-            probes.normal(used)
-        elif pending is not None:
-            bitgen.state = pending[0]
-        worker.shutdown()
+        with ThreadPoolExecutor(max_workers=1) as worker:  # leaving waits for the draw in flight
+            yield vectors().__next__
+    except BaseException:
+        bitgen.state = start
+        probes.normal(used)
+        raise
 
 
 def _require_square_op(a):

@@ -200,6 +200,14 @@ def test_reducible_too_small_without_blocks_fails(family, n, message):
         generate(CorpusSpec(family=family, n=n, density=0.5))
 
 
+def test_generation_gives_up_when_every_attempt_fails_verification():
+    # No attempt at this condition number survives the Cholesky certificate.
+    spec = CorpusSpec("spd", n=30, density=1.0, cond_target=1e20, seed=1)
+    message = r"gave up on spd_n30_d1_c1e\+20_s1: factorization certificate failed"
+    with pytest.raises(GenerationFailed, match=message):
+        generate(spec)
+
+
 @pytest.mark.parametrize("n,density", [(1, 0.02), (3, 0.01)])
 def test_spec_without_off_diagonal_pairs_generates_a_diagonal(n, density):
     m = generate(CorpusSpec(family="spd", n=n, density=density))

@@ -76,6 +76,8 @@ def test_invalid_shapes_and_indices_raise():
         SparseMatrix.from_coo(5, 2**62, [4], [5], [1.0])
     with pytest.raises(DimensionMismatch, match=r"2\*\*63"):
         SparseMatrix.from_coo(10, 10**18, [9, 0], [5 * 10**17, 0], [1.0, 1.0])
+    with pytest.raises(DimensionMismatch, match=r"2\*\*63"):
+        SparseMatrix.from_coo(1, 2**63, [0], [5], [1.0])
 
 
 def test_from_dense_round_trip(rng):

@@ -205,7 +205,7 @@ def test_degenerate_probe_raises():
 # ------------------------------------------------------ draws run ahead
 #
 # From `_AHEAD_FLOOR` elements on, probes come in batches of about
-# `_BATCH_ELEMENTS` elements, each but the first drawn on a worker thread.
+# `_BATCH_ELEMENTS` elements, every one drawn on a worker thread.
 # These tests pin what that must not change: the order in which the probe
 # stream is consumed, where the source is left after an early exit, which
 # thread runs the caller's code, and that no thread outlives a call.
@@ -336,6 +336,28 @@ def test_products_and_observers_run_on_the_callers_thread():
     estimate_bx(op, np.ones(_BIG), nmv, ProbeSource(2))
     assert len(threads) == 4 * nmv and set(threads) == {here}
     assert len(seen) == 2 * nmv and set(seen) == {here}
+
+
+class _CountingSource(ProbeSource):
+    """A probe source that counts the elements drawn from it."""
+
+    elements = 0
+
+    def normal(self, size):
+        self.elements += size
+        return super().normal(size)
+
+
+@pytest.mark.parametrize("n", [50, _BIG])
+def test_a_normal_return_draws_exactly_the_probes_used(n):
+    # Only an early exit may draw again, to put the source back.
+    op, _ = _diag_op(n)
+    nmv = 3 * _PER_BATCH + 1  # a short last batch
+    sources = [_CountingSource(1) for _ in range(3)]
+    ssbin(op, nmv, sources[0])
+    snbin(op, nmv, sources[1])
+    estimate_bx(op, np.ones(n), nmv, sources[2])
+    assert [source.elements for source in sources] == [nmv * n, 2 * nmv * n, nmv * n]
 
 
 # ------------------------------------------------- sweeps update in place
