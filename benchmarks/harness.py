@@ -12,7 +12,10 @@ BLAS pinned to one thread as the benchmark workloads pin it, and the side
 that goes first swaps every pair. The run goes under its label, next to
 the runs already in the file. Per side it holds every measurement, their
 median (of each float) and one stamp: `perfbench/stamp.py`'s, the
-checkout's commit and whether its ``src/`` has uncommitted changes. A fresh
+checkout's commit, whether its ``src/`` has uncommitted changes and the
+resolved path of that ``src/``. Layer timings have been seen to move with
+the length of that path alone, so when the two sides' paths differ in
+length a warning goes to stderr before anything is measured. A fresh
 process runs this file to measure one side:
 
     python3 benchmarks/harness.py SCRIPT SRC SETTINGS_JSON
@@ -59,6 +62,13 @@ def main(script, doc, options=None):
     args = parser.parse_args()
     sides = {"parent": args.src} if args.src is not None else {}
     sides["change"] = ROOT / "src"
+    sides = {side: str(path.resolve()) for side, path in sides.items()}
+    if len(set(map(len, sides.values()))) > 1:
+        print(
+            "warning: the sides' sources sit on paths of different lengths, which has moved "
+            f"layer timings on its own: {' and '.join(sides.values())}",
+            file=sys.stderr,
+        )
     label, out = args.label, args.out
     del args.label, args.src, args.out
     run = {"pairs": PAIRS, "order": []}
@@ -66,7 +76,7 @@ def main(script, doc, options=None):
         run["order"] += list(sides)[:: -1 if k % 2 else 1]
     for side in run["order"]:
         child = subprocess.run(
-            [sys.executable, __file__, script, str(sides[side].resolve()), json.dumps(vars(args))],
+            [sys.executable, __file__, script, sides[side], json.dumps(vars(args))],
             stdout=subprocess.PIPE, text=True, env={**os.environ, **_PINNED}, check=True,
         )  # fmt: skip
         measured = json.loads(child.stdout.splitlines()[-1])
@@ -119,6 +129,7 @@ def _measure_side(script, src, settings):
             **stamp(equilibrate),
             "commit": git("rev-parse", "HEAD"),
             "uncommitted_src_changes": bool(git("status", "--porcelain", "--", ".")),
+            "src": src,
         }
     }
     measure = runpy.run_path(script)["measure"]

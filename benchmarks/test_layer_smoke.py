@@ -55,26 +55,32 @@ def _checkout(path, side, files=()):
     return _git(path, "rev-parse", "HEAD")
 
 
-def test_harness_alternates_sides_and_keeps_earlier_runs(tmp_path):
-    files = [
+def _harness_files():
+    """The files a checkout needs to run the stand-in benchmark."""
+    return [
         ("benchmarks/harness.py", (HERE / "harness.py").read_text()),
         ("benchmarks/stand_in.py", STAND_IN),
         ("perfbench/stamp.py", (ROOT / "perfbench" / "stamp.py").read_text()),
     ]
+
+
+def test_harness_alternates_sides_and_keeps_earlier_runs(tmp_path):
     commits = {
-        "change": _checkout(tmp_path / "change", "change", files),
+        "change": _checkout(tmp_path / "change", "change", _harness_files()),
         "parent": _checkout(tmp_path / "parent", "parent"),
     }
     (tmp_path / "parent" / "src" / "equilibrate" / "extra.py").write_text("")
     out = tmp_path / "out.json"
 
     def bench(*args):
-        subprocess.run(
+        return subprocess.run(
             [sys.executable, "benchmarks/stand_in.py", "--out", str(out), *args],
             cwd=tmp_path / "change", capture_output=True, text=True, timeout=300, check=True,
         )  # fmt: skip
 
-    bench("--label", "first", "--src", str(tmp_path / "parent" / "src"), "--value", "2.5")
+    # "parent" and "change" are names of one length, so no path warning.
+    first = bench("--label", "first", "--src", str(tmp_path / "parent" / "src"), "--value", "2.5")
+    assert "different lengths" not in first.stderr
     bench("--label", "second", "--value", "1.5")
     data = json.loads(out.read_text())
     assert data["benchmark"] == "stand_in" and set(data["runs"]) == {"first", "second"}
@@ -92,6 +98,7 @@ def test_harness_alternates_sides_and_keeps_earlier_runs(tmp_path):
         assert record["median"]["value"] == 2.5
         assert record["stamp"]["commit"] == commits[side]
         assert record["stamp"]["uncommitted_src_changes"] == (side == "parent")
+        assert record["stamp"]["src"] == str((tmp_path / side / "src").resolve())
         assert {"cpu_model", "numpy", "blas"} <= set(record["stamp"])
         pids |= {r["pid"] for r in record["runs"]}
     assert len(pids) == 2 * pairs  # a fresh process for every measurement
@@ -99,6 +106,22 @@ def test_harness_alternates_sides_and_keeps_earlier_runs(tmp_path):
     second = data["runs"]["second"]
     assert set(second) == {"pairs", "order", "change"}
     assert second["change"]["median"]["value"] == 1.5
+
+
+def test_harness_warns_before_measuring_sides_on_paths_of_different_lengths(tmp_path):
+    _checkout(tmp_path / "change", "change", _harness_files())
+    parent = tmp_path / "longer-parent" / "src"
+    (parent / "equilibrate").mkdir(parents=True)
+    # The parent side goes first and fails at once, so nothing is measured.
+    (parent / "equilibrate" / "__init__.py").write_text("raise ImportError('not measured')\n")
+    child = subprocess.run(
+        [sys.executable, "benchmarks/stand_in.py", "--label", "x", "--src", str(parent)],
+        cwd=tmp_path / "change", capture_output=True, text=True, timeout=300,
+    )  # fmt: skip
+    assert child.returncode != 0
+    assert child.stderr.startswith("warning: the sides' sources sit on paths of different lengths")
+    assert child.stderr.count("warning:") == 1
+    assert not (tmp_path / "change" / "BENCH_stand_in.json").exists()
 
 
 TINY = {

@@ -13,6 +13,7 @@ O(nnz) at every size, retrying with a reseeded generator before giving up.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -29,6 +30,8 @@ FAMILIES = (
     "reducible_blocks",
     "permutation_plus_noise",
 )
+# The families that can plant a condition number.
+_CONDITIONED = ("spd", "symmetric_indefinite", "nonsymmetric_general")
 
 _MAX_ATTEMPTS = 20
 
@@ -42,8 +45,9 @@ class CorpusSpec:
     the mis-scaling severity in decades: generated matrices are wrapped in
     diagonal factors with entries up to 10**scale_spread, which is what
     gives equilibration something to undo. blocks fixes the diagonal block
-    sizes of the reducible family. Specs with a cond_target are built dense,
-    so their n is capped at CONDITION_SIZE_CAP.
+    sizes of the reducible family. Only spd, symmetric_indefinite and
+    nonsymmetric_general take a cond_target; such specs are built dense, so
+    their n is capped at CONDITION_SIZE_CAP.
     """
 
     family: str
@@ -57,8 +61,10 @@ class CorpusSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        _integral("n", self.n)
+        _integral("seed", self.seed)
         if self.blocks is not None:
-            blocks = tuple(int(b) for b in self.blocks)
+            blocks = tuple(_integral("blocks", b) for b in self.blocks)
             if len(blocks) < 2 or any(b < 1 for b in blocks):
                 raise ValueError("blocks needs at least two positive sizes")
             if self.family != "reducible_blocks":
@@ -74,12 +80,21 @@ class CorpusSpec:
             raise ValueError("density must lie in (0, 1]")
         if self.cond_target is not None and not self.cond_target >= 1.0:
             raise ValueError("cond_target must be at least 1")
+        if self.cond_target is not None and self.family not in _CONDITIONED:
+            raise ValueError(f"cond_target only applies to the {', '.join(_CONDITIONED)} families")
         if self.cond_target is not None and self.n > CONDITION_SIZE_CAP:
             raise ValueError(f"cond_target specs are dense; n must be at most {CONDITION_SIZE_CAP}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.scale_spread < 0:
             raise ValueError("scale_spread must be nonnegative")
+
+
+def _integral(field, value):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field} must be integral, got {value!r}") from None
 
 
 def spec_name(spec):

@@ -46,15 +46,63 @@ def _require_square(m):
         raise DimensionMismatch("equilibration requires a square matrix")
 
 
-def _check_nonnegative(b):
+def _start(b, v0, symmetric=False):
+    """Check B and the start vector of either iteration; return the start."""
+    _require_square(b)
     if b.data.size and b.data.min() < 0.0:
         raise ValueError("this iteration requires a nonnegative matrix")
+    if symmetric and not b.is_symmetric():
+        raise DimensionMismatch("symmetric iteration requires a symmetric matrix")
+    v = np.ones(b.nrows) if v0 is None else np.ascontiguousarray(v0, dtype=np.float64)
+    if v.shape != (b.nrows,) or np.any(v <= 0):
+        raise ValueError("starting vector must be positive of matching size")
+    return v
 
 
-def _usable(dev, *vectors):
-    return np.isfinite(dev) and all(
-        np.all(np.isfinite(v)) and np.all(v > 0.0) for v in vectors
-    )
+def _run(iterates, opts, on_iteration):
+    """Take (row_dev, col_dev, vectors) from ``iterates`` until opts.tol or opts.max_iters.
+
+    Records each in the history and copies the least-deviation iterate whose
+    vectors are all finite and positive before ``on_iteration(k, *vectors)``
+    sees it. Returns the copied vectors and the history.
+    """
+    opts = opts or ExactOptions()
+    history = ConvergenceHistory()
+    best, best_dev = None, np.inf
+    for k, (row_dev, col_dev, vectors) in zip(range(1, opts.max_iters + 1), iterates):
+        history.records.append((k, row_dev, col_dev))
+        dev = max(row_dev, col_dev)
+        if dev < best_dev and all(np.all(np.isfinite(v)) and np.all(v > 0.0) for v in vectors):
+            best, best_dev = [v.copy() for v in vectors], dev
+        if on_iteration is not None:
+            on_iteration(k, *vectors)
+        if dev < opts.tol:
+            history.converged = True
+            break
+    if best is None:
+        noun = "scaling vectors" if len(vectors) > 1 else "scaling vector"
+        raise ZeroRowOrColumn(f"{noun} degenerated before any usable iterate")
+    return best, history
+
+
+def _sk_iterates(b, c):
+    """The alternating iteration from c: yields (row_dev, col_dev, (r, c))."""
+    t = b.matvec(c)
+    if np.any(t == 0.0):
+        raise ZeroRowOrColumn("matrix has a zero row")
+    first = True
+    while True:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = 1.0 / t
+            u = b.rmatvec(r)
+            if first and np.any(u == 0.0):
+                raise ZeroRowOrColumn("matrix has a zero column")
+            c = 1.0 / u
+            t = b.matvec(c)  # reused by the next iteration
+            row_dev = float(np.max(np.abs(r * t - 1.0)))
+            col_dev = float(np.max(np.abs(c * u - 1.0)))
+        first = False
+        yield row_dev, col_dev, (r, c)
 
 
 def sinkhorn_knopp(b, opts=None, c0=None, on_iteration=None):
@@ -66,42 +114,8 @@ def sinkhorn_knopp(b, opts=None, c0=None, on_iteration=None):
     the best iterate seen is returned with history.converged False rather
     than raising.
     """
-    opts = opts or ExactOptions()
-    _require_square(b)
-    _check_nonnegative(b)
-    n = b.nrows
-    c = np.ones(n) if c0 is None else np.ascontiguousarray(c0, dtype=np.float64)
-    if c.shape != (n,) or np.any(c <= 0):
-        raise ValueError("starting vector must be positive of matching size")
-
-    t = b.matvec(c)
-    if np.any(t == 0.0):
-        raise ZeroRowOrColumn("matrix has a zero row")
-    history = ConvergenceHistory()
-    best = None
-    best_dev = np.inf
-    for k in range(1, opts.max_iters + 1):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = 1.0 / t
-            u = b.rmatvec(r)
-            if k == 1 and np.any(u == 0.0):
-                raise ZeroRowOrColumn("matrix has a zero column")
-            c = 1.0 / u
-            t = b.matvec(c)  # reused by the next iteration
-            row_dev = float(np.max(np.abs(r * t - 1.0)))
-            col_dev = float(np.max(np.abs(c * u - 1.0)))
-        history.records.append((k, row_dev, col_dev))
-        dev = max(row_dev, col_dev)
-        if dev < best_dev and _usable(dev, r, c):
-            best, best_dev = (r.copy(), c.copy()), dev
-        if on_iteration is not None:
-            on_iteration(k, r, c)
-        if dev < opts.tol:
-            history.converged = True
-            break
-    if best is None:
-        raise ZeroRowOrColumn("scaling vectors degenerated before any usable iterate")
-    return DiagonalScaling(best[0], best[1]), history
+    (r, c), history = _run(_sk_iterates(b, _start(b, c0)), opts, on_iteration)
+    return DiagonalScaling(r, c), history
 
 
 def sym_sk_step(b, y):
@@ -112,44 +126,27 @@ def sym_sk_step(b, y):
     return 1.0 / t
 
 
+def _sym_iterates(b, y):
+    """The symmetric iteration from y: yields (dev, dev, (x,)), x paired from two y."""
+    while True:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            y_old, y = y, sym_sk_step(b, y)
+            x = np.sqrt(y * y_old)
+            dev = float(np.max(np.abs(x * b.matvec(x) - 1.0)))
+        yield dev, dev, (x,)
+
+
 def sym_sinkhorn_knopp(b, opts=None, y0=None, on_iteration=None):
     """Symmetric scaling of a symmetric nonnegative matrix.
 
     Only the reciprocal iterate y is advanced; each convergence check (and
     the returned vector) pairs adjacent iterates as x = sqrt(y_new * y_old),
     which cancels the even/odd oscillation of y. On convergence X B X has
-    row sums within opts.tol of 1.
+    row sums within opts.tol of 1. As in `sinkhorn_knopp`, a budget that
+    runs out returns the best iterate seen with history.converged False.
     """
-    opts = opts or ExactOptions()
-    _require_square(b)
-    _check_nonnegative(b)
-    if not b.is_symmetric():
-        raise DimensionMismatch("symmetric iteration requires a symmetric matrix")
-    n = b.nrows
-    y = np.ones(n) if y0 is None else np.ascontiguousarray(y0, dtype=np.float64)
-    if y.shape != (n,) or np.any(y <= 0):
-        raise ValueError("starting vector must be positive of matching size")
-
-    history = ConvergenceHistory()
-    best = None
-    best_dev = np.inf
-    for k in range(1, opts.max_iters + 1):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            y_new = sym_sk_step(b, y)
-            x = np.sqrt(y_new * y)
-            dev = float(np.max(np.abs(x * b.matvec(x) - 1.0)))
-        history.records.append((k, dev, dev))
-        if dev < best_dev and _usable(dev, x):
-            best, best_dev = x.copy(), dev
-        if on_iteration is not None:
-            on_iteration(k, x)
-        if dev < opts.tol:
-            history.converged = True
-            break
-        y = y_new
-    if best is None:
-        raise ZeroRowOrColumn("scaling vector degenerated before any usable iterate")
-    return best, history
+    (x,), history = _run(_sym_iterates(b, _start(b, y0, symmetric=True)), opts, on_iteration)
+    return x, history
 
 
 def equilibrate_2norm(a, opts=None, symmetric=None, on_iteration=None):

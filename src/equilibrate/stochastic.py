@@ -20,6 +20,7 @@ place, in arrays it allocated itself; see its docstring for what it must
 not write into.
 """
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -71,7 +72,10 @@ class ProbeSource:
     """
 
     def __init__(self, seed=0):
-        seed = int(seed)
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise ValueError(f"seed must be integral, got {seed!r}") from None
         if seed < 0:
             raise ValueError("seed must be nonnegative")
         self.seed = seed
@@ -91,12 +95,18 @@ def _as_probes(probes):
 
 
 # Draws of fewer elements than this stay on the caller's thread, on the
-# sequential path: such probes are cheap, and `run` already keeps a second
-# thread busy with condition numbers at the sizes it can densify. Above it,
-# the worker draws about _BATCH_ELEMENTS elements per handoff; drawing one
-# vector per handoff made the caller wait on the worker, or on the
-# interpreter lock it holds, often enough to lose on a busy host. See
-# benchmarks/probe_draws.py and BENCH_probe_draws.json.
+# sequential path. For small matrices a call's probes fit in one or two
+# batches (128 probes of n = 640 fill two), so the caller would wait for the
+# first batch and pay for a thread with nothing to overlap; and `run` keeps
+# a second thread busy with condition numbers at the sizes it can densify.
+# Drawing every size ahead made batch_run slower in alternating pairs, and
+# 128-probe snbin at n = 640 slower on its own; where between 2^11 and 2^14
+# elements a lower floor would start to pay is unmeasured (ROADMAP, "Probe
+# draws run ahead"). Above the floor, the worker draws about
+# _BATCH_ELEMENTS elements per handoff; drawing one vector per handoff made
+# the caller wait on the worker, or on the interpreter lock it holds, often
+# enough to lose on a busy host. See benchmarks/probe_draws.py and
+# BENCH_probe_draws.json.
 _AHEAD_FLOOR = 1 << 14
 _BATCH_ELEMENTS = 1 << 16
 

@@ -36,6 +36,14 @@ def test_spec_validation():
         CorpusSpec(family="spd", n=5, seed=-1)
     with pytest.raises(ValueError, match="scale_spread"):
         CorpusSpec(family="spd", n=5, scale_spread=-1.0)
+    with pytest.raises(ValueError, match="n must be integral"):
+        CorpusSpec(family="spd", n=2.5)
+    with pytest.raises(ValueError, match="seed must be integral"):
+        CorpusSpec(family="spd", n=5, seed=1.5)
+    CorpusSpec(family="spd", n=np.int64(5), seed=np.uint32(3))
+    for family in ("reducible_blocks", "permutation_plus_noise"):
+        with pytest.raises(ValueError, match="cond_target only applies"):
+            CorpusSpec(family=family, n=20, density=0.3, cond_target=1e6)
     CorpusSpec(family="spd", n=CONDITION_SIZE_CAP, cond_target=10.0)
     with pytest.raises(ValueError, match="cond_target specs are dense"):
         CorpusSpec(family="nonsymmetric_general", n=CONDITION_SIZE_CAP + 1, cond_target=10.0)
@@ -52,6 +60,9 @@ def test_blocks_resolution():
         CorpusSpec(family="reducible_blocks", blocks=(5,))
     with pytest.raises(ValueError, match="only applies"):
         CorpusSpec(family="spd", n=7, blocks=(3, 4))
+    with pytest.raises(ValueError, match="blocks must be integral"):
+        CorpusSpec(family="reducible_blocks", blocks=(3.7, 4))
+    assert CorpusSpec(family="reducible_blocks", blocks=(np.int64(3), 4)).blocks == (3, 4)
 
 
 def test_spec_name_is_deterministic_and_distinct():
@@ -84,6 +95,8 @@ def test_parse_spec_line_round_trip():
         ("family=spd n=40 color=red", "unknown spec keys"),
         ("family=nope n=40", "unknown family"),
         (f"family=spd n={CONDITION_SIZE_CAP + 1} cond_target=10", "at most 2000"),
+        ("family=reducible_blocks n=20 density=0.3 cond_target=1e6", "cond_target only applies"),
+        ("family=permutation_plus_noise n=20 density=0.2 cond_target=1e6", "cond_target only applies"),
     ],
 )
 def test_parse_spec_line_errors(line, message):

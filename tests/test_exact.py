@@ -112,15 +112,59 @@ def test_callback_sees_every_iteration(rng):
     assert seen == [k for k, _, _ in history.records]
 
 
-def test_symmetric_result_survives_a_callback_that_writes_its_iterate():
-    b = SparseMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
-    expected, _ = sym_sinkhorn_knopp(b)
+def _vectors(result):
+    return (result.left, result.right) if isinstance(result, DiagonalScaling) else (result,)
 
-    def clobber(k, x):
-        x[:] = -1.0
 
-    x, _ = sym_sinkhorn_knopp(b, on_iteration=clobber)
-    np.testing.assert_array_equal(x, expected)
+BOTH_ITERATIONS = pytest.mark.parametrize(
+    "iteration", [sinkhorn_knopp, sym_sinkhorn_knopp], ids=["two_sided", "symmetric"]
+)
+
+
+@BOTH_ITERATIONS
+def test_result_survives_a_callback_that_writes_its_iterate(iteration):
+    b = SparseMatrix.from_dense([[1.0, 2.0], [2.0, 5.0]])
+    expected, history = iteration(b)
+    assert history.iterations > 1
+
+    def clobber(k, *vectors):
+        for v in vectors:
+            v[:] = -1.0
+
+    got, clobbered = iteration(b, on_iteration=clobber)
+    for g, e in zip(_vectors(got), _vectors(expected)):
+        np.testing.assert_array_equal(g, e)
+    assert clobbered.records == history.records
+
+
+@BOTH_ITERATIONS
+def test_an_observer_that_raises_stops_the_iteration(iteration):
+    b = SparseMatrix.from_dense([[1.0, 2.0], [2.0, 5.0]])
+    opts = ExactOptions(tol=1e-14)
+    assert iteration(b, opts)[1].iterations > 3
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def observe(k, *vectors):
+        seen.append(k)
+        if k == 3:
+            raise Stop
+
+    with pytest.raises(Stop):
+        iteration(b, opts, on_iteration=observe)
+    assert seen == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "iteration,message",
+    [(sinkhorn_knopp, "scaling vectors degenerated"), (sym_sinkhorn_knopp, "scaling vector degenerated")],
+)
+def test_no_usable_iterate_raises(iteration, message):
+    # An infinite entry makes every iterate non-finite or zero.
+    with pytest.raises(ZeroRowOrColumn, match=message):
+        iteration(SparseMatrix.from_dense([[np.inf]]))
 
 
 def test_zero_row_and_column_raise():

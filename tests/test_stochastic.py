@@ -89,6 +89,8 @@ def test_probe_source_is_deterministic_per_seed():
 def test_probe_source_validation():
     with pytest.raises(ValueError):
         ProbeSource(-1)
+    with pytest.raises(ValueError, match="seed must be integral"):
+        ProbeSource(1.7)
     assert ProbeSource(np.int64(3)).seed == 3
     assert "seed=3" in repr(ProbeSource(3))
 
