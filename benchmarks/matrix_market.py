@@ -6,7 +6,8 @@ at seed `SEED`:
 - for its 2e5-entry general matrix and its symmetric one (order 1e5,
   values spread over six decades), the median seconds of one
   `write_matrix_market` (``write_s``) and of one `read_matrix_market` of
-  that file (``read_s``), with the file's size (``file_mb``);
+  that file (``read_s``), the tracemalloc peak of one such read in MB
+  (``read_peak_mb``), and the file's size (``file_mb``);
 - the median seconds of `equilibrate gen` on its five corpus families
   (``gen_s``), which writes one file per family.
 
@@ -19,6 +20,7 @@ alternately with this one, for example:
 
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import harness
@@ -48,6 +50,7 @@ def measure(eq, args):
                 "nnz": m.nnz,
                 "write_s": median_s(lambda: eq.write_matrix_market(m, path, symmetric), REPEATS),
                 "read_s": median_s(lambda: eq.read_matrix_market(path), REPEATS),
+                "read_peak_mb": _read_peak_mb(eq, path),
                 "file_mb": path.stat().st_size / 1e6,
             }
             if eq.read_matrix_market(path) != m:
@@ -58,6 +61,16 @@ def measure(eq, args):
         if set(codes) != {0}:
             raise AssertionError(f"gen exited {codes}")
     return out
+
+
+def _read_peak_mb(eq, path):
+    """The tracemalloc peak, in MB, of one `read_matrix_market` of ``path``."""
+    tracemalloc.start()
+    try:
+        eq.read_matrix_market(path)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 if __name__ == "__main__":

@@ -167,7 +167,10 @@ def test_measurement_runs_at_a_tiny_size(script, monkeypatch):
             assert row[f"{path}ssbin_elements_drawn"] == 4 * 200
             assert row[f"{path}snbin_elements_drawn"] == 2 * 4 * 200
     if script == "matrix_market":
-        assert result["general"]["nnz"] > 0 and result["symmetric"]["nnz"] > 0
+        for label in ("general", "symmetric"):
+            assert result[label]["nnz"] > 0
+            # Each entry of the matrix takes 24 bytes as coordinates.
+            assert result[label]["read_peak_mb"] > 24 * result[label]["nnz"] / 1e6
     if script == "condition_numbers":
         assert set(result["run_experiment"]["scale_wall_s"]) == {"30", "40"}
         assert [(row["n"], row["count"]) for row in result["gil"]] == [(None, None), (40, 1), (20, 2)]

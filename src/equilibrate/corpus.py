@@ -13,14 +13,13 @@ O(nnz) at every size, retrying with a reseeded generator before giving up.
 """
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
 
 from equilibrate.diagnostics import CONDITION_SIZE_CAP
-from equilibrate.errors import ConfigError, GenerationFailed
+from equilibrate.errors import ConfigError, GenerationFailed, integral
 from equilibrate.matrix import SparseMatrix
 
 FAMILIES = (
@@ -61,10 +60,10 @@ class CorpusSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        _integral("n", self.n)
-        _integral("seed", self.seed)
+        integral("n", self.n)
+        integral("seed", self.seed)
         if self.blocks is not None:
-            blocks = tuple(_integral("blocks", b) for b in self.blocks)
+            blocks = tuple(integral("blocks", b) for b in self.blocks)
             if len(blocks) < 2 or any(b < 1 for b in blocks):
                 raise ValueError("blocks needs at least two positive sizes")
             if self.family != "reducible_blocks":
@@ -88,13 +87,6 @@ class CorpusSpec:
             raise ValueError("seed must be nonnegative")
         if self.scale_spread < 0:
             raise ValueError("scale_spread must be nonnegative")
-
-
-def _integral(field, value):
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{field} must be integral, got {value!r}") from None
 
 
 def spec_name(spec):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of integral counts."""
+
+import operator
 
 
 class EquilibrateError(Exception):
@@ -40,3 +42,14 @@ class MatrixMarketError(EquilibrateError):
 
 class ConfigError(EquilibrateError):
     """Invalid experiment or corpus configuration."""
+
+
+def integral(field, value):
+    """``value`` as an int; a ValueError naming ``field`` if it is not integral.
+
+    Counts reach `range` and list repetition, which take no float.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field} must be integral, got {value!r}") from None

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from equilibrate.errors import DimensionMismatch, ZeroRowOrColumn
+from equilibrate.errors import DimensionMismatch, ZeroRowOrColumn, integral
 from equilibrate.matrix import DiagonalScaling, elementwise_square
 
 
@@ -25,7 +25,7 @@ class ExactOptions:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iters < 1:
+        if integral("max_iters", self.max_iters) < 1:
             raise ValueError("max_iters must be at least 1")
 
 

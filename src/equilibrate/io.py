@@ -9,8 +9,11 @@ downstream.
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
+import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -23,6 +26,13 @@ from equilibrate.matrix import SparseMatrix
 _BANNER = "%%MatrixMarket"
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 _CHUNK = 1 << 14  # entries the writer formats at once
+_LINE_BREAK = re.compile(rb"\r\n|\r|\n")
+# Line breaks to `str.splitlines`, blanks to `np.loadtxt` and `str.split`.
+# Searched for one at a time: a regex character class scans 100x slower.
+_SPLITLINES_ONLY = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+# A byte `str.strip` keeps: not ASCII whitespace.
+_NOT_BLANK = re.compile(rb"[^\t\n\v\f\r\x1c-\x1f ]")
+_NON_ASCII = re.compile(rb"[\x80-\xff]")
 
 
 def read_matrix_market(path):
@@ -35,16 +45,87 @@ def read_matrix_market(path):
     malformed entry, an index out of range, an upper-triangle entry in
     symmetric storage, or a nan or infinite value is rejected with its line
     number, and so is a byte outside ASCII.
-    """
-    content = _read_ascii(path)
-    lines = content.splitlines()
-    if not lines:
-        raise MatrixMarketError("empty file", line=1)
 
-    header = lines[0].split()
+    The banner and size line are parsed from the file's bytes, which are then
+    dropped, and `np.loadtxt` parses the entries from the file itself, in
+    chunks. `_parse_lines` parses the file from its list of lines instead
+    when numpy would split or open it otherwise (`_needs_line_list`), when a
+    `%` follows the size line, and when an entry fails a check, since it
+    names the first bad line.
+    """
+    path = os.fsdecode(path)
+    data = _read_ascii(path)
+    if _needs_line_list(path, data):
+        return _parse_lines(data)
+    symmetric, nrows, ncols, nnz, lineno = _parse_head(_ascii_lines(data))
+    end = _line_end(data, lineno)
+    if data.find(b"%", end) >= 0:
+        return _parse_lines(data)
+    if _NOT_BLANK.search(data, end) is None:  # np.loadtxt warns on input without data
+        return _assemble(np.zeros(0, dtype=_ENTRY), nrows, ncols, nnz, symmetric)
+    del data  # the entries are read from the file, not from these bytes
+    try:
+        entries = np.loadtxt(
+            path, dtype=_ENTRY, comments=None, ndmin=1, skiprows=lineno, encoding="ascii"
+        )
+    except ValueError:
+        entries = None
+    if entries is None or _any_bad_entry(entries, nrows, ncols, symmetric):
+        return _parse_lines(_read_ascii(path))
+    return _assemble(entries, nrows, ncols, nnz, symmetric)
+
+
+def _needs_line_list(path, data):
+    """Whether the file at ``path``, holding ``data``, must be parsed from its list of lines.
+
+    `np.loadtxt` given a path opens it through numpy's DataSource, which
+    decompresses by suffix and fetches what looks like a URL. Its reader also
+    takes vertical tab, form feed and the separators 0x1c-0x1e for blanks,
+    where `str.splitlines` breaks lines on them.
+    """
+    compressed = os.path.splitext(path)[1] in (".bz2", ".gz", ".lzma", ".xz")
+    return compressed or "://" in path or any(c in data for c in _SPLITLINES_ONLY)
+
+
+def _parse_lines(data):
+    """The SparseMatrix of the file of ASCII bytes ``data``, parsed from its list of lines.
+
+    The lines are those `str.splitlines` gives. A bad entry is named by its line.
+    """
+    lines = data.decode("ascii").splitlines()
+    symmetric, nrows, ncols, nnz, lineno = _parse_head(lines)
+    body = lines[lineno:]
+    # Comment lines between entries are rare; drop them only when the entry
+    # part of the file holds a '%' at all. A '%' left on an entry line fails
+    # the parse below, so a trailing note is rejected, not ignored.
+    if any("%" in line for line in body):
+        body = [line for line in body if not line.lstrip().startswith("%")]
+    if any(map(str.strip, body)):
+        try:
+            entries = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1)
+        except ValueError as exc:
+            _raise_first_bad_entry(lines, lineno, nrows, ncols, symmetric, str(exc))
+    else:  # np.loadtxt warns on input without data
+        entries = np.zeros(0, dtype=_ENTRY)
+    if _any_bad_entry(entries, nrows, ncols, symmetric):
+        _raise_first_bad_entry(lines, lineno, nrows, ncols, symmetric, "entry check failed")
+    return _assemble(entries, nrows, ncols, nnz, symmetric)
+
+
+def _parse_head(lines):
+    """(symmetric, nrows, ncols, nnz, lineno) from the banner and size line of ``lines``.
+
+    ``lineno`` is the 1-based number of the size line, so the entries start at
+    ``lines[lineno]``.
+    """
+    lines = iter(lines)
+    banner = next(lines, None)
+    if banner is None:
+        raise MatrixMarketError("empty file", line=1)
+    header = banner.split()
     if len(header) != 5 or header[0] != _BANNER:
         raise MatrixMarketError(
-            f"expected '%%MatrixMarket matrix coordinate real general|symmetric', got {lines[0]!r}",
+            f"expected '%%MatrixMarket matrix coordinate real general|symmetric', got {banner!r}",
             line=1,
         )
     _, obj, fmt, field, symmetry = (w.lower() for w in header)
@@ -62,7 +143,7 @@ def read_matrix_market(path):
 
     lineno = 1
     size_line = None
-    for lineno, text in enumerate(lines[1:], start=2):
+    for lineno, text in enumerate(lines, start=2):
         stripped = text.strip()
         if not stripped or stripped.startswith("%"):
             continue
@@ -83,29 +164,25 @@ def read_matrix_market(path):
         raise MatrixMarketError("size line values out of range", line=lineno)
     if symmetric and nrows != ncols:
         raise MatrixMarketError("symmetric matrix must be square", line=lineno)
+    return symmetric, nrows, ncols, nnz, lineno
 
-    body = lines[lineno:]
-    # Comment lines between entries are rare; drop them only when the entry
-    # part of the file holds a '%' at all. A '%' left on an entry line fails
-    # the parse below, so a trailing note is rejected, not ignored.
-    if content.count("%") > sum(line.count("%") for line in lines[:lineno]):
-        body = [line for line in body if not line.lstrip().startswith("%")]
-    if any(map(str.strip, body)):
-        try:
-            entries = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1)
-        except ValueError as exc:
-            _raise_first_bad_entry(lines, lineno, nrows, ncols, symmetric, str(exc))
-    else:  # np.loadtxt warns on input without data
-        entries = np.zeros(0, dtype=_ENTRY)
-    i, j, v = entries["i"], entries["j"], entries["v"]
-    bad = ~np.isfinite(v) | (i < 1) | (i > nrows) | (j < 1) | (j > ncols)
+
+def _any_bad_entry(entries, nrows, ncols, symmetric):
+    """Whether an entry is not finite, out of range, or above the diagonal of symmetric storage."""
+    i, j = entries["i"], entries["j"]
+    bad = ~np.isfinite(entries["v"]) | (i < 1) | (i > nrows) | (j < 1) | (j > ncols)
     if symmetric:
         bad |= j > i
-    if bad.any():
-        _raise_first_bad_entry(lines, lineno, nrows, ncols, symmetric, "entry check failed")
+    return bad.any()
+
+
+def _assemble(entries, nrows, ncols, nnz, symmetric):
+    """The SparseMatrix of checked 1-based ``entries``; symmetric storage is mirrored."""
     if entries.size != nnz:
         raise MatrixMarketError(f"size line promised {nnz} entries, file holds {entries.size}")
-    i, j = i - 1, j - 1
+    i, j, v = entries["i"], entries["j"], entries["v"]
+    i -= 1  # in place: `from_coo` copies these strided views and frees the copies
+    j -= 1
     if symmetric:
         off = i != j
         i, j, v = (
@@ -117,19 +194,32 @@ def read_matrix_market(path):
 
 
 def _read_ascii(path):
-    """The text of the file at ``path``; a byte outside ASCII is rejected with its line.
-
-    The bytes are dropped on return, so they do not stay resident beside the
-    text while the entries are parsed.
-    """
+    """The bytes of the file at ``path``; a byte outside ASCII is rejected with its line."""
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        # Numbered as by splitlines(): the line the text up to the byte ends on.
-        line = len((data[: exc.start].decode("ascii") + " ").splitlines())
-        raise MatrixMarketError(f"non-ASCII byte 0x{data[exc.start]:02x}", line=line) from None
+    if data.isascii():
+        return data
+    start = _NON_ASCII.search(data).start()
+    # Numbered as by splitlines(): the line the text up to the byte ends on.
+    line = len((data[:start].decode("ascii") + " ").splitlines())
+    raise MatrixMarketError(f"non-ASCII byte 0x{data[start]:02x}", line=line)
+
+
+def _ascii_lines(data):
+    """The lines of ASCII ``data`` holding no `_SPLITLINES_ONLY` byte, as `str.splitlines` gives them."""
+    start = 0
+    for brk in _LINE_BREAK.finditer(data):
+        yield data[start : brk.start()].decode("ascii")
+        start = brk.end()
+    if start < len(data):
+        yield data[start:].decode("ascii")
+
+
+def _line_end(data, lineno):
+    """The offset in ``data`` just past line ``lineno`` and its line break."""
+    for brk in itertools.islice(_LINE_BREAK.finditer(data), lineno - 1, None):
+        return brk.end()
+    return len(data)
 
 
 def _raise_first_bad_entry(lines, start, nrows, ncols, symmetric, reason):

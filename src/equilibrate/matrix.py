@@ -58,11 +58,19 @@ class SparseMatrix:
                 raise DimensionMismatch("row index out of range")
             if cols.min() < 0 or cols.max() >= ncols:
                 raise DimensionMismatch("column index out of range")
+            # One stable sort: duplicates end up adjacent, in input order,
+            # and are summed as `np.add.reduceat` sums each run.
             key = rows * np.int64(ncols) + cols
+            del rows, cols
             order = np.argsort(key, kind="stable")
-            key, start = np.unique(key[order], return_index=True)
-            vals = np.add.reduceat(vals[order], start)
-            rows, cols = key // ncols, key % ncols
+            key, vals = key[order], vals[order]
+            del order
+            first = np.ones(key.size, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            if not first.all():
+                start = np.flatnonzero(first)
+                key, vals = key[start], np.add.reduceat(vals, start)
+            rows, cols = np.divmod(key, ncols)
         return cls.__new__(cls)._set(nrows, ncols, rows, cols, vals)
 
     @classmethod

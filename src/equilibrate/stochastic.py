@@ -20,14 +20,13 @@ place, in arrays it allocated itself; see its docstring for what it must
 not write into.
 """
 
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from equilibrate.errors import DegenerateProbe, DimensionMismatch
+from equilibrate.errors import DegenerateProbe, DimensionMismatch, integral
 from equilibrate.matrix import DiagonalScaling
 
 
@@ -44,7 +43,7 @@ class OmegaSchedule:
     nmv: int
 
     def __post_init__(self):
-        if self.nmv < 1:
+        if integral("nmv", self.nmv) < 1:
             raise ValueError("nmv must be at least 1")
 
     def omega(self, k):
@@ -72,10 +71,7 @@ class ProbeSource:
     """
 
     def __init__(self, seed=0):
-        try:
-            seed = operator.index(seed)
-        except TypeError:
-            raise ValueError(f"seed must be integral, got {seed!r}") from None
+        seed = integral("seed", seed)
         if seed < 0:
             raise ValueError("seed must be nonnegative")
         self.seed = seed
@@ -255,7 +251,7 @@ def estimate_bx(a, x, nsamples, probes=0):
         raise DimensionMismatch("x must match the operator's column count")
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
         raise ValueError("x must be positive and finite")
-    if nsamples < 1:
+    if integral("nsamples", nsamples) < 1:
         raise ValueError("nsamples must be at least 1")
     probes = _as_probes(probes)
     sx = np.sqrt(x)

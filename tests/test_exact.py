@@ -32,6 +32,9 @@ def test_options_validation():
         ExactOptions(tol=-1e-3)
     with pytest.raises(ValueError):
         ExactOptions(max_iters=0)
+    with pytest.raises(ValueError, match=r"^max_iters must be integral, got 2\.5$"):
+        ExactOptions(max_iters=2.5)
+    assert ExactOptions(max_iters=np.int64(3)).max_iters == 3
 
 
 def test_two_by_two_closed_form():

@@ -1,6 +1,8 @@
 import csv
+import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +213,108 @@ def test_messy_file_reads_back_its_entries_bitwise(tmp_path, rng, symmetric):
     want = SparseMatrix.from_coo(n, n, r, c, v)
     assert read_matrix_market(p) == want
     assert want.nnz < len(expected)  # duplicates were summed
+
+
+def _assert_same_bits(a, b):
+    assert a == b
+    np.testing.assert_array_equal(a.data.view(np.int64), b.data.view(np.int64))
+
+
+def _written(tmp_path, rng, symmetric, name="m.mtx"):
+    """A matrix with values over twelve decades, and the text the writer writes for it."""
+    dense = rng.standard_normal((40, 40)) * 10.0 ** rng.integers(-6, 7, (40, 40))
+    dense[rng.random(dense.shape) < 0.8] = 0.0
+    m = SparseMatrix.from_dense(np.tril(dense) + np.tril(dense, -1).T if symmetric else dense)
+    p = tmp_path / name
+    write_matrix_market(m, p, symmetric=symmetric)
+    return m, p.read_text()
+
+
+def _blank_lines_between(lines):
+    blanks = itertools.cycle(["", "  ", "\t", " \t "])
+    return "\n".join(line + "\n" + next(blanks) for line in lines)
+
+
+def _mixed_breaks(lines):
+    breaks = itertools.cycle(["\r\n", "\r", "\n", "\r\n \t\r\n", "\n\n"])
+    return "".join(f"{' ' * (k % 3)}{line}\t{next(breaks)}" for k, line in enumerate(lines))
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        lambda lines: "\r\n".join(lines) + "\r\n",
+        lambda lines: "\r".join(lines) + "\r",
+        _blank_lines_between,
+        _mixed_breaks,
+    ],
+    ids=["crlf", "cr", "blank-lines", "mixed"],
+)
+def test_line_breaks_and_blank_lines_read_back_bitwise(tmp_path, rng, symmetric, rewrite):
+    m, text = _written(tmp_path, rng, symmetric)
+    text = rewrite(text.splitlines())
+    assert text.count("%") == 2  # the banner's: no comment lines
+    p = tmp_path / "rewritten.mtx"
+    p.write_bytes(text.encode("ascii"))
+    _assert_same_bits(read_matrix_market(p), m)
+
+
+_HEAD = "%%MatrixMarket matrix coordinate real general"
+
+
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e"], ids=repr)
+@pytest.mark.parametrize(
+    "text, result",
+    [
+        ("{h}\n2 2 2\n1 1 1.0\n2{s}2 2.0\n", "line 4: entry line must be 'row col value'"),
+        ("{h}\n2 2 2\n1 1{s}1.0\n2 2 2.0\n", "line 3: entry line must be 'row col value'"),
+        ("{h}\n2{s}2 2\n1 1 1.0\n2 2 2.0\n", "line 2: size line must be 'nrows ncols nnz'"),
+        ("{h}\n2 2 2\n1 1 1.0{s}\n2 3 2.0\n", "line 5: index (2, 3) out of range"),
+        ("{h}\n2 2 2\n1 1 1.0{s}2 2 2.0\n", [[1.0, 0.0], [0.0, 2.0]]),
+        ("{h}\n2 2 2\n1 1 1.0{s}\n2 2 2.0{s}{s}\n", [[1.0, 0.0], [0.0, 2.0]]),
+        ("{h}{s}2 2 2\n1 1 1.0\n2 2 2.0\n", [[1.0, 0.0], [0.0, 2.0]]),
+    ],
+    ids=["between-indices", "before-value", "size-line", "line-after", "line-end", "trailing", "banner-end"],
+)
+def test_string_line_breaks_split_lines_as_splitlines_does(tmp_path, sep, text, result):
+    # `str.splitlines` breaks lines on these five characters, where
+    # `np.loadtxt` reading a file takes them for blanks.
+    p = _write(tmp_path / "sep.mtx", text.format(h=_HEAD, s=sep))
+    if isinstance(result, str):
+        with pytest.raises(MatrixMarketError) as exc:
+            read_matrix_market(p)
+        assert str(exc.value) == result
+    else:
+        assert read_matrix_market(p) == SparseMatrix.from_dense(result)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_text_with_a_compression_suffix_reads_as_text(tmp_path, rng, suffix):
+    m, _ = _written(tmp_path, rng, False, name=f"m.mtx{suffix}")
+    _assert_same_bits(read_matrix_market(tmp_path / f"m.mtx{suffix}"), m)
+    p = _write(tmp_path / f"bad{suffix}", f"{_HEAD}\n2 2 2\n1 1 1.0\n2 x 2.0\n")
+    with pytest.raises(MatrixMarketError, match="^line 4: malformed entry '2 x 2.0'$"):
+        read_matrix_market(p)
+
+
+def test_reading_a_general_file_stays_below_a_memory_bound(tmp_path):
+    # Measured here: 64 bytes per entry (the file holds about 30), against
+    # 238 when every line of the file became a Python str.
+    rng = np.random.default_rng(5004)
+    n, count = 5000, 50000
+    vals = rng.standard_normal(count) * 10.0 ** rng.uniform(-3, 3, count)
+    m = SparseMatrix.from_coo(n, n, rng.integers(0, n, count), rng.integers(0, n, count), vals)
+    p = tmp_path / "m.mtx"
+    write_matrix_market(m, p)
+    tracemalloc.start()
+    try:
+        back = read_matrix_market(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == m
+    assert peak / m.nnz < 100
 
 
 def test_count_mismatch_message(tmp_path):

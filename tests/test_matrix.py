@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import sys
 import threading
 import tracemalloc
@@ -57,6 +58,64 @@ def test_exact_zero_sums_are_dropped():
 def test_explicit_zero_values_are_dropped():
     m = SparseMatrix.from_coo(3, 3, [0, 1], [0, 1], [0.0, 4.0])
     assert m.nnz == 1
+
+
+def _coo_inputs():
+    """Seeded (nrows, ncols, rows, cols, vals) inputs, by name."""
+    rng = np.random.default_rng(2707)
+    n, count = 50, 3000
+    rows, cols = rng.integers(0, n, count), rng.integers(0, n + 7, count)
+    # Mixed magnitudes on few coordinates: duplicate sums depend on their order.
+    vals = rng.standard_normal(count) * 10.0 ** rng.integers(-12, 13, count)
+    vals[rng.choice(count, 100, replace=False)] = -0.0
+    # Row n holds pairs that cancel to zero, a lone -0.0 and an explicit 0.0.
+    pairs = rng.standard_normal(20)
+    rows = np.concatenate([rows, np.full(42, n)])
+    cols = np.concatenate([cols, np.arange(20), np.arange(20), [30, 31]])
+    vals = np.concatenate([vals, pairs, -pairs, [-0.0, 0.0]])
+    shuffle = rng.permutation(rows.size)
+    # A few coordinates with about 80 entries each.
+    piled = rng.integers(0, 5, (2, 2000))
+    piled_vals = rng.standard_normal(2000) * 10.0 ** rng.integers(-8, 9, 2000)
+    piled_vals[::7] = -0.0
+    # Row-major order with no duplicates, and with adjacent duplicates.
+    flat = np.sort(rng.choice(30 * 20, 200, replace=False))
+    sorted_vals = rng.standard_normal(200)
+    sorted_vals[::9] = -0.0
+    repeats = rng.integers(1, 4, 200)
+    return {
+        "duplicates": (n + 1, n + 7, rows[shuffle], cols[shuffle], vals[shuffle]),
+        "piled": (5, 5, piled[0], piled[1], piled_vals),
+        "empty": (4, 6, [], [], []),
+        "row_major": (30, 20, flat // 20, flat % 20, sorted_vals),
+        "row_major_duplicates": (
+            30, 20, np.repeat(flat // 20, repeats), np.repeat(flat % 20, repeats),
+            rng.standard_normal(repeats.sum()),
+        ),  # fmt: skip
+        "single": (3, 2, [2], [1], [-5e-324]),
+    }
+
+
+# sha256 of each input's storage as `from_coo` built it before it sorted once.
+_PINNED_FROM_COO = {
+    "duplicates": "a8c6517a8d4ef8c7282d03ac345857acdb1bd8956500aa5b746f105d0e1470d9",
+    "empty": "913817a6d32a10329efcf31d7301e029c29a71afe93a3517adef537e5e2d3223",
+    "piled": "8b41353dd149657eea7178dc73c59ba135865d4ac281a6f314625b5c3877231f",
+    "row_major": "baddfb84f83382600cbfe1c79840d6752c6ebe56b1d71e61505a17456ede3ec8",
+    "row_major_duplicates": "9c3c3b174d5ecb11ab2089f7e934441b0a774452110ce77b69c971b77a979cad",
+    "single": "b0a74a9bdb8c230a7135b14d0b28eacd44cec73e7f409a890d88a5e1b2a5ff6a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_FROM_COO))
+def test_from_coo_storage_is_pinned(name):
+    m = SparseMatrix.from_coo(*_coo_inputs()[name])
+    h = hashlib.sha256(np.array([m.nrows, m.ncols]).tobytes())
+    for field in ("rows", "indices", "indptr", "data"):
+        array = getattr(m, field)
+        assert array.dtype == (np.float64 if field == "data" else np.int64)
+        h.update(array.tobytes())
+    assert h.hexdigest() == _PINNED_FROM_COO[name]
 
 
 def test_invalid_shapes_and_indices_raise():

@@ -68,6 +68,13 @@ def test_schedule_strictly_decreasing_from_three_sweeps():
 def test_schedule_validation():
     with pytest.raises(ValueError):
         OmegaSchedule(0)
+    with pytest.raises(ValueError, match=r"^nmv must be integral, got 2\.5$"):
+        OmegaSchedule(2.5)
+    assert list(OmegaSchedule(np.int64(2))) == [0.5, 0.5]
+    a = from_sparse(SparseMatrix.from_dense(np.eye(3)))
+    for method in (snbin, ssbin):
+        with pytest.raises(ValueError, match=r"^nmv must be integral, got 2\.5$"):
+            method(a, 2.5)
     sched = OmegaSchedule(5)
     with pytest.raises(ValueError):
         sched.omega(0)
@@ -547,6 +554,9 @@ def test_estimate_bx_validation(rng):
         estimate_bx(a, np.array([1.0, np.inf, 1.0]), 10)
     with pytest.raises(ValueError):
         estimate_bx(a, np.ones(3), 0)
+    with pytest.raises(ValueError, match=r"^nsamples must be integral, got 2\.5$"):
+        estimate_bx(a, np.ones(3), 2.5)
+    np.testing.assert_array_equal(estimate_bx(a, np.ones(3), np.int64(4)), estimate_bx(a, np.ones(3), 4))
 
 
 # ---------------------------------------------------- reciprocal variant
