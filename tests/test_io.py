@@ -277,7 +277,7 @@ _HEAD = "%%MatrixMarket matrix coordinate real general"
     ],
     ids=["between-indices", "before-value", "size-line", "line-after", "line-end", "trailing", "banner-end"],
 )
-def test_string_line_breaks_split_lines_as_splitlines_does(tmp_path, sep, text, result):
+def test_vertical_tab_form_feed_and_separators_break_lines(tmp_path, sep, text, result):
     # `str.splitlines` breaks lines on these five characters, where
     # `np.loadtxt` reading a file takes them for blanks.
     p = _write(tmp_path / "sep.mtx", text.format(h=_HEAD, s=sep))
@@ -299,8 +299,8 @@ def test_plain_text_with_a_compression_suffix_reads_as_text(tmp_path, rng, suffi
 
 
 def test_reading_a_general_file_stays_below_a_memory_bound(tmp_path):
-    # Measured here: 64 bytes per entry (the file holds about 30), against
-    # 238 when every line of the file became a Python str.
+    # Measured with numpy 2.4.6 on x86_64 Linux: 64 bytes per entry (the
+    # file holds about 30), against 238 when every line became a Python str.
     rng = np.random.default_rng(5004)
     n, count = 5000, 50000
     vals = rng.standard_normal(count) * 10.0 ** rng.uniform(-3, 3, count)
