@@ -78,13 +78,16 @@ def read_matrix_market(path):
 def _needs_line_list(path, data):
     """Whether the file at ``path``, holding ``data``, must be parsed from its list of lines.
 
-    `np.loadtxt` given a path opens it through numpy's DataSource, which
-    decompresses by suffix and fetches what looks like a URL. Its reader also
-    takes vertical tab, form feed and the separators 0x1c-0x1e for blanks,
-    where `str.splitlines` breaks lines on them.
+    `np.loadtxt` given a path opens it again, so only a regular file reads
+    the same twice, not a pipe. It opens it through numpy's DataSource,
+    which decompresses by suffix and fetches what looks like a URL. Its
+    reader also takes vertical tab, form feed and the separators 0x1c-0x1e
+    for blanks, where `str.splitlines` breaks lines on them.
     """
+    if not os.path.isfile(path) or "://" in path:
+        return True
     compressed = os.path.splitext(path)[1] in (".bz2", ".gz", ".lzma", ".xz")
-    return compressed or "://" in path or any(c in data for c in _SPLITLINES_ONLY)
+    return compressed or any(c in data for c in _SPLITLINES_ONLY)
 
 
 def _parse_lines(data):

@@ -1,7 +1,9 @@
 import csv
 import itertools
 import math
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -296,6 +298,32 @@ def test_plain_text_with_a_compression_suffix_reads_as_text(tmp_path, rng, suffi
     p = _write(tmp_path / f"bad{suffix}", f"{_HEAD}\n2 2 2\n1 1 1.0\n2 x 2.0\n")
     with pytest.raises(MatrixMarketError, match="^line 4: malformed entry '2 x 2.0'$"):
         read_matrix_market(p)
+
+
+def test_a_named_pipe_is_read_once(tmp_path, rng):
+    m, text = _written(tmp_path, rng, False)
+    pipe = tmp_path / "pipe.mtx"
+    os.mkfifo(pipe)
+    result = {}
+
+    def read():
+        try:
+            result["matrix"] = read_matrix_market(pipe)
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            result["error"] = exc
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    with open(pipe, "w", encoding="ascii") as fh:
+        fh.write(text)
+    reader.join(30)
+    if reader.is_alive():  # it opened the pipe again and waits for a writer
+        with open(pipe, "w", encoding="ascii"):
+            pass
+        reader.join(30)
+    assert not reader.is_alive()
+    assert "error" not in result, result.get("error")
+    _assert_same_bits(result["matrix"], m)
 
 
 def test_reading_a_general_file_stays_below_a_memory_bound(tmp_path):
