@@ -125,6 +125,7 @@ def test_harness_warns_before_measuring_sides_on_paths_of_different_lengths(tmp_
 
 
 TINY = {
+    "corpus_draws": ({"DRAWS": ((30, 0.2), (20, 1.0)), "SIZE": "tiny", "REPEATS": 1}, {}),
     "matrix_market": ({"SIZE": "tiny", "REPEATS": 1}, {}),
     "probe_draws": ({"SIZES": (200,), "SWEEPS": 4}, {"repeats": 1}),
     "products": (
@@ -166,6 +167,12 @@ def test_measurement_runs_at_a_tiny_size(script, monkeypatch):
         for path in ("", "inline_", "ahead_"):
             assert row[f"{path}ssbin_elements_drawn"] == 4 * 200
             assert row[f"{path}snbin_elements_drawn"] == 2 * 4 * 200
+    if script == "corpus_draws":
+        # (30 * 30 * 0.2 - 30) // 2 pairs, and all 20 * 19 / 2 at density 1.
+        assert [row["pairs"] for row in result["draws"]] == [75, 190]
+        assert len(result["generate"]) == 10
+        rows = result["draws"] + result["generate"]
+        assert all(value > 0.0 for row in rows for key, value in row.items() if key.endswith("_mb"))
     if script == "matrix_market":
         for label in ("general", "symmetric"):
             assert result[label]["nnz"] > 0

@@ -14,7 +14,6 @@ O(nnz) at every size, retrying with a reseeded generator before giving up.
 
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -77,16 +76,16 @@ class CorpusSpec:
             raise ValueError("n must be positive")
         if not 0.0 < self.density <= 1.0:
             raise ValueError("density must lie in (0, 1]")
-        if self.cond_target is not None and not self.cond_target >= 1.0:
-            raise ValueError("cond_target must be at least 1")
+        if self.cond_target is not None and not 1.0 <= self.cond_target < math.inf:
+            raise ValueError("cond_target must be finite and at least 1")
         if self.cond_target is not None and self.family not in _CONDITIONED:
             raise ValueError(f"cond_target only applies to the {', '.join(_CONDITIONED)} families")
         if self.cond_target is not None and self.n > CONDITION_SIZE_CAP:
             raise ValueError(f"cond_target specs are dense; n must be at most {CONDITION_SIZE_CAP}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.scale_spread < 0:
-            raise ValueError("scale_spread must be nonnegative")
+        if not 0.0 <= self.scale_spread < math.inf:
+            raise ValueError("scale_spread must be finite and nonnegative")
 
 
 def spec_name(spec):
@@ -157,19 +156,14 @@ def read_spec_file(path):
 
 
 def _upper_pairs(rng, n, count):
-    """Draw ``count`` distinct index pairs (i, j) with i < j, in first-drawn order."""
-    count = min(count, n * (n - 1) // 2)
-    # Distinct keys i * n + j in first-drawn order. A round costs only its own
-    # draws, so the thousands of small rounds near full density stay cheap;
-    # pairs from zip, not a dict.fromkeys copy, keep the peak memory lower.
-    kept = {}
-    while len(kept) < count:
-        draw = max(64, int(2.5 * (count - len(kept))))
-        i = rng.integers(0, n, size=draw)
-        j = rng.integers(0, n, size=draw)
-        kept.update(zip((i * n + j)[i < j].tolist(), repeat(None)))
-    keys = np.fromiter(kept, dtype=np.int64, count=len(kept))[:count]
-    return keys // n, keys % n
+    """Draw ``count`` distinct index pairs (i, j) with i < j, in drawn order."""
+    total = n * (n - 1) // 2
+    k = rng.choice(total, size=min(count, total), replace=False)
+    # Pairs are numbered row by row: row i's n - 1 - i pairs start at starts[i].
+    i = np.arange(n)
+    starts = i * (2 * n - 1 - i) // 2
+    i = np.searchsorted(starts, k, side="right") - 1
+    return i, k - starts[i] + i + 1
 
 
 @dataclass(frozen=True)
@@ -369,6 +363,8 @@ def _is_dominant(m, d):
 
 def _verify(spec, m, witness):
     n = m.nrows
+    if not np.isfinite(m.data).all():
+        return "matrix holds a non-finite value"
     if witness.perms is not None:
         if not _is_permutation_union(m, witness.perms):
             return "pattern is not the union of its permutations"
@@ -419,7 +415,7 @@ def generate(spec):
         rng = np.random.Generator(np.random.PCG64([spec.seed, attempt]))
         try:
             m, witness = _build(rng, spec)
-        except np.linalg.LinAlgError as exc:
+        except (np.linalg.LinAlgError, OverflowError) as exc:
             failure = str(exc)
             continue
         failure = _verify(spec, m, witness)

@@ -9,6 +9,7 @@ from equilibrate.corpus import (
     FAMILIES,
     CorpusSpec,
     _build,
+    _upper_pairs,
     _verify,
     generate,
     parse_spec_line,
@@ -36,6 +37,11 @@ def test_spec_validation():
         CorpusSpec(family="spd", n=5, seed=-1)
     with pytest.raises(ValueError, match="scale_spread"):
         CorpusSpec(family="spd", n=5, scale_spread=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="scale_spread must be finite"):
+            CorpusSpec(family="spd", n=5, scale_spread=bad)
+        with pytest.raises(ValueError, match="cond_target must be finite"):
+            CorpusSpec(family="spd", n=5, cond_target=bad)
     with pytest.raises(ValueError, match="n must be integral"):
         CorpusSpec(family="spd", n=2.5)
     with pytest.raises(ValueError, match="seed must be integral"):
@@ -97,11 +103,30 @@ def test_parse_spec_line_round_trip():
         (f"family=spd n={CONDITION_SIZE_CAP + 1} cond_target=10", "at most 2000"),
         ("family=reducible_blocks n=20 density=0.3 cond_target=1e6", "cond_target only applies"),
         ("family=permutation_plus_noise n=20 density=0.2 cond_target=1e6", "cond_target only applies"),
+        ("family=spd n=20 density=0.2 scale_spread=nan", "scale_spread must be finite"),
+        ("family=spd n=20 density=0.2 scale_spread=inf", "scale_spread must be finite"),
+        ("family=spd n=20 density=0.2 cond_target=inf", "cond_target must be finite"),
+        ("family=spd n=20 density=0.2 cond_target=nan", "cond_target must be finite"),
     ],
 )
 def test_parse_spec_line_errors(line, message):
     with pytest.raises(ConfigError, match=message):
         parse_spec_line(line)
+
+
+@pytest.mark.parametrize("command", ["gen", "run"])
+@pytest.mark.parametrize("value", ["scale_spread=nan", "scale_spread=inf", "cond_target=inf"])
+def test_a_non_finite_spec_line_is_a_config_error(tmp_path, capsys, command, value):
+    line = f"family=spd n=20 density=0.2 {value}"
+    path = tmp_path / "input.txt"
+    if command == "gen":
+        path.write_text(line + "\n")
+        argv = ["gen", "--spec", str(path), "--out-dir", str(tmp_path / "out")]
+    else:
+        path.write_text(f"corpus = {line}\nalgorithms = snbin\n")
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "report.csv")]
+    assert main(argv) == 2
+    assert f"config error: {path}:1: {value.partition('=')[0]} must be finite" in capsys.readouterr().err
 
 
 def test_read_spec_file(tmp_path):
@@ -221,6 +246,14 @@ def test_generation_gives_up_when_every_attempt_fails_verification():
         generate(spec)
 
 
+@pytest.mark.parametrize("family", ["spd", "permutation_plus_noise"])
+def test_generation_never_releases_a_non_finite_matrix(family):
+    # A spread of 400 decades overflows the mis-scaling of every attempt.
+    spec = CorpusSpec(family, n=20, density=0.2, scale_spread=400.0)
+    with np.errstate(all="ignore"), pytest.raises(GenerationFailed, match="non-finite value"):
+        generate(spec)
+
+
 @pytest.mark.parametrize("n,density", [(1, 0.02), (3, 0.01)])
 def test_spec_without_off_diagonal_pairs_generates_a_diagonal(n, density):
     m = generate(CorpusSpec(family="spd", n=n, density=density))
@@ -235,6 +268,21 @@ def test_large_generation_has_total_support():
     assert m.nrows == 700
     assert has_support(m)
     assert has_total_support(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 37, 400])
+def test_upper_pairs_are_distinct_and_clamped(n):
+    total = n * (n - 1) // 2
+    every = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
+    # Every count from 0 to past saturation; only saturated draws at n = 400.
+    for count in range(total + 3) if n < 400 else (total, total + 1):
+        i, j = _upper_pairs(np.random.default_rng(count), n, count)
+        keys = i * n + j
+        assert keys.size == min(count, total)
+        assert np.all((0 <= i) & (i < j) & (j < n))
+        assert np.unique(keys).size == keys.size
+        if count >= total:
+            assert np.array_equal(np.sort(keys), every)
 
 
 def _first_attempt(spec):
@@ -411,16 +459,16 @@ _PINNED_FILES = {
     "permutation_plus_noise_n600_d0.008_sp2_s105.mtx":
         "b34ee5c9563f578ca383daca0f7111a09c38d0c14cd30f03143882ba1aeb8ebb",
     "reducible_blocks_n200_d0.05_sp2_s104.mtx":
-        "84da2fabcc2d3effbddba201d3004326bdd61e4c2a67002868666d0369518ca6",
+        "dd517d24c589ea1aa9f895bbbcd51080683f3fa262376e1bee07f525cbacac43",
     "spd_n400_d0.02_sp2_s101.mtx":
-        "0fabdcba061e762b0367fe9f628310e9c810e4c04873a5a46ba99048853f7a33",
+        "c23948648bb1898e24bc33459ba29a720d78015f8967230537cbb472cf37d1e1",
     "spd_n60_d1_sp2_s106.mtx":
-        "20bd194c0496759534536dbfdca27e8932a5c35ca8980d79d346fb5bba460454",
+        "a0ab803c1d664df8fe4d39dd20f3828522f283e1333c6959ad713cbbc86b623a",
     "symmetric_indefinite_n300_d0.03_sp2_s102.mtx":
-        "e509bb9b231c4ad5d2ef4c2a21593f52262a8abfa7c0d2f27763e3cc59745c28",
+        "def98459905209747e7ead3dafa224ffb9581ba1c7921ce04f78eb459839cc78",
 }
 _PINNED_LARGE = {
-    ("symmetric_indefinite", 7): "2bc54e554c58777ad6338c713890cb577dd18439a6f18f75039d677f58bd6a09",
+    ("symmetric_indefinite", 7): "5014a1458b3dd8edb73bd154a05d4322b1f2ea739b3736770fff30123aa8144d",
     ("nonsymmetric_general", 8): "efd68cca63963be5594b8db55897ab2dc2cb77a1b57dd11da184eb60e8f73001",
 }
 

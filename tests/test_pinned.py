@@ -68,34 +68,34 @@ _PINNED_TABLE = {
         "inf_norm": "0506acd37a5238ac40c1a2fbd95777c93597c1db49d3d99a19630b45a0f8a931",
     },
     "reducible_blocks": {
-        "snbin": "6c46fba2e005ca5eee91c26bc094dc113f8ae3502f145af1ea10f2539a43fecf",
-        "snbin_sym": "b6126720b8e68b14fc3a20025ad22a539bb63e351eacd824b76e85d60e7924d3",
-        "ssbin": "65a412b64a72fcea3218a660e95dbc74cc79e0e2a6c2444d6dfbd4c39d8af5b8",
-        "ssbin_noswitch": "c279a269e383cc5e095a562846b9053a27b025daabafd2da44c34c81464b7d37",
-        "sk_exact": "daf9ccfe472322e1ffaf92337de11942e9e20c0b95572ddb84bc1afc11466bad",
-        "sym_sk_exact": "52c8cca0de0e19ec6609b7f8f6faddf1d0f22408987928bc1db95a163e65a73a",
-        "jacobi": "694e9b60761f6f1b6ef1d9b0a44565af831a230183f19329804160d372c81ebd",
-        "inf_norm": "4060fa7e7ac3bdeed6e5efb56a4c1d8c4da113d2413d2d3c6c2e16067ec4f71a",
+        "snbin": "70eb2abb0200f35748fde67909720d43db64af1b71f4e1e4dcf0f7386b18b98f",
+        "snbin_sym": "6de675760b069e4691f0dc647678c377adbc28ea2f86bb0cb18c78d3d444a0bf",
+        "ssbin": "c2f6db284ac0da99696bd763ff5f44b3593d83a02c60da3ba4fc930249ccf69e",
+        "ssbin_noswitch": "af9e36d0c0f6bcdc385ec4a3432dd9504f81acf166410748cc67d62668f5aa96",
+        "sk_exact": "ed71775840b056b1ff425371f08627dc31ffb233343d71cd2b0afcf254611a30",
+        "sym_sk_exact": "900d205322c89e3ef823493be341402408106ee3afc732d844640a821a960bf5",
+        "jacobi": "da3632fd06340964c0f4a1968f256b358e979ef4c6dffd861c1eb8c981a45e0c",
+        "inf_norm": "ed45fd921a30aeeeb7ae0aa16c5202e2f84185112a367fe9fceaefa4b29d1dd7",
     },
     "spd": {
-        "snbin": "1333b8b442679142989c93ba43b1bea9ca4cfba903176b3b3458af0ca43daec0",
-        "snbin_sym": "05fccc72c78ca6ae473f7ddca4f4fbfb41f243771ede546a60f727b5f64754da",
-        "ssbin": "3b537af16643b4700784b384547c2022bc89d54c3427b5def1b0d521fe5475b6",
-        "ssbin_noswitch": "89dc22f69857a539f7b9dd2b095db238481cab3d31505b396641815e7bbfc37a",
-        "sk_exact": "a980103a78d93dacc198c489482f1c084c7bd4b504c2b5c0a2c6f0a627325373",
-        "sym_sk_exact": "84e658b2a1b4e1823ce8253e234a859d02ec49319dff6fb9a76b3f276c51ba8e",
-        "jacobi": "4cfc809b565f8a321fad5c187dc8558c59d9574714971f005ace9a8af6fcaa14",
-        "inf_norm": "e51abcb6a6af6083ee25de01d8a8973931ea9e264d74a48b6b86610557b89a28",
+        "snbin": "247f88680faa7c6f0afba525aae54775be9d75214a056bbdcb787f4663f9eed8",
+        "snbin_sym": "2ff0237d6c0e5f181a7d4a9bcebd0a6348363693b7cdee573ea79ba6a6661a4e",
+        "ssbin": "8acf0e1b6f3f00ec2581b5745101bcbcb0c2f242fdec83a1e605541cd0887fc6",
+        "ssbin_noswitch": "0119a420505799206c59279831428d047273fbe719f175dedffb578760d1fed3",
+        "sk_exact": "76389f9fbd91e991fa7baa526163013e62574c8501af711d4d648da1ec541054",
+        "sym_sk_exact": "e657f903afc18976edb56f0f774f66af58e01756c70834f7a30deeb450a79321",
+        "jacobi": "8af9c5d55508ce130c03a98e13980d4ccec512932fc88505da04f36312f5e76a",
+        "inf_norm": "6b41ca33f191a54243ba2d945c16322708a179ac99489b7c70042f515ef545dd",
     },
     "symmetric_indefinite": {
-        "snbin": "f8bb873155dc80335c5369df932c660c2581575e96e9cb252eed7d70340ed3f5",
-        "snbin_sym": "0c88047d0f9381e55c76f567453514306287f36d8d9e4f9154353955da54eb6e",
-        "ssbin": "90e320332ac179a1b1a736004a40f9039d87c365b5b2ba4bf23fbc9c400fc1c8",
-        "ssbin_noswitch": "47db1d0b0346be4b272502454686999f05020dddf01d05188c8085ad094b7d5d",
-        "sk_exact": "2316927c9dfe916cf603162aa317d4486877d40df0c8e8a22431ea6f1256a4ea",
-        "sym_sk_exact": "36d6ba7b5f498aaa86c6202d4df1352d0fd67fe544fa5c9f581928e16069ebf5",
-        "jacobi": "9912bc72bf4a7679edb7b7028a462e44ba7f7ee3add3f3c9406cb2791dcb01e6",
-        "inf_norm": "982dae2ae6dbd6a5dd89234224be5d1d1f10364ac107333885e3bc591edc7b5f",
+        "snbin": "1bb085ef114a9cccfe5b4b54d1971305db1cdb8c86ffc91ed798dcdcfa9de9ec",
+        "snbin_sym": "6e0a1d2b25f53358c4814b9940f81f50d8a216dff196bb5ce21adfe90d303b4a",
+        "ssbin": "f257d9b4f17590a5246945b3cac80d005eed81b0bee96172c165d1d99cf9b73e",
+        "ssbin_noswitch": "58acae4abfead6e081e0821683296be1b1e81ea02311000215797f24c111c8c2",
+        "sk_exact": "9e78d9118be6fe1d7dd030d7690bb207f69f2062d021eed018080744f66180cd",
+        "sym_sk_exact": "755daab1f3b59c51f19089e58e2f49ffb2cc8e38deac50c569746c2641e2dde9",
+        "jacobi": "12db5e32a0f1c51e4204bd47f06f7c4d1b276a4a6e438a6c696749007a20ee40",
+        "inf_norm": "5e95378ecf4b70e6aaa71ffd47adb8ccfe16ee30bf27f73ebff3b3e0bea542a0",
     },
 }
 
@@ -112,12 +112,12 @@ _PINNED_LARGE_EXACT = {
     "sym_sk_exact": "f865072f3a6ab72b5a0ca762b7d69a06482ebba9482e05e45ab39a1e86530925",
 }
 
-_PINNED_REPORT = "762f83d237092ce85b5222f4e18795608a925e7c9c1d6d93a7ceb347102330ba"
+_PINNED_REPORT = "67dc37a7e5d4bf4547c9a0efef23f5d554c0cbc239e2761f4bd2e90ec57acadd"
 
 _PINNED_WORKER_REPORT = "1dd27ff94b8d73e1a44486de7fa91ac2135838205f989e9a0aff1af83ae4c586"
 
 _PINNED_HISTORY = {
-    "ssbin": "30b95f614cd447a2f2c8ba2546dd32c94d24bdc29cf9869d3355714ffda0eb76",
+    "ssbin": "fd9ce85b29ba0726dd553f0958a56687026648c03d636acc72861a6aa1770190",
     "snbin": "61256f781624ae6769b4057148f5b436ee473d89e5108b0c0d206d0575dbfde7",
 }
 
@@ -260,7 +260,7 @@ def test_histories_are_pinned(tmp_path, algorithm, family):
 
 _PINNED_WRITTEN = {
     "general_comment": "482f5692ac350c601303261668deeac4bda1287d28f00dce0536744698a533ad",
-    "symmetric": "262554e2909076117088ce37791a805be8b7fa698e88c43111bc98bf56ef9ec7",
+    "symmetric": "6663ac5f68b5af0fed9bf18b7676f0eb89528caaf6ae67c53097ef5ca661f526",
     "chunks": "7afb4cf66d68f4b104e3d100efca7ccac0997edcddd5efc309750b1736509f03",
     "no_entries": "e87362c11d719150bca1f5ddd5eff6961523dea876b787b5723c80e80fce45d7",
     "edge_values": "a511368b42a328dfd228d4eb0b66ae35bd78f8ffaf0107bba3f35719228c0457",
@@ -271,7 +271,7 @@ _PINNED_GEN = {
         "fc13eae75e569b6e2531e049d9bbf73a624da64caacd921e02cfb341f7a1b691"
     ),
     "symmetric_indefinite_n70_d0.07_sp2_s12.mtx": (
-        "a2fd17239a758f3babea919482c65ae19e71eeabc899022ae3cbf6f62329460f"
+        "0fe167937dc503d98ddc67e200b6280181df571a08aab36e09b7e0839fd0f35b"
     ),
 }
 
