@@ -37,11 +37,6 @@ def test_spec_validation():
         CorpusSpec(family="spd", n=5, seed=-1)
     with pytest.raises(ValueError, match="scale_spread"):
         CorpusSpec(family="spd", n=5, scale_spread=-1.0)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="scale_spread must be finite"):
-            CorpusSpec(family="spd", n=5, scale_spread=bad)
-        with pytest.raises(ValueError, match="cond_target must be finite"):
-            CorpusSpec(family="spd", n=5, cond_target=bad)
     with pytest.raises(ValueError, match="n must be integral"):
         CorpusSpec(family="spd", n=2.5)
     with pytest.raises(ValueError, match="seed must be integral"):
@@ -246,11 +241,19 @@ def test_generation_gives_up_when_every_attempt_fails_verification():
         generate(spec)
 
 
-@pytest.mark.parametrize("family", ["spd", "permutation_plus_noise"])
-def test_generation_never_releases_a_non_finite_matrix(family):
+@pytest.mark.parametrize(
+    "family,message",
+    [
+        ("spd", "matrix holds a non-finite value"),
+        ("permutation_plus_noise", "matrix holds a non-finite value"),
+        # The second block's level, 10.0 ** 400, overflows a Python float.
+        ("reducible_blocks", "gave up on reducible_blocks_n20_d0.2_sp400_s0"),
+    ],
+)
+def test_generation_never_releases_a_non_finite_matrix(family, message):
     # A spread of 400 decades overflows the mis-scaling of every attempt.
     spec = CorpusSpec(family, n=20, density=0.2, scale_spread=400.0)
-    with np.errstate(all="ignore"), pytest.raises(GenerationFailed, match="non-finite value"):
+    with np.errstate(all="ignore"), pytest.raises(GenerationFailed, match=message):
         generate(spec)
 
 
