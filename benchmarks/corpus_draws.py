@@ -7,9 +7,10 @@ Records:
   `corpus._upper_pairs` of them (``draw_s``) and the tracemalloc peak of
   one such draw in MB (``draw_peak_mb``);
 - for each corpus spec that the benchmark workloads in
-  `perfbench/workloads.py` generate (at size `SIZE`, every one at seed
-  `SEED` and spread 2), the median seconds of one `generate`
-  (``generate_s``) and its tracemalloc peak in MB (``generate_peak_mb``).
+  `perfbench/workloads.py` generate (at size `SIZE`), and for each dense
+  ``cond_target`` spec in `DENSE`, every one at seed `SEED` and spread 2,
+  the median seconds of one `generate` (``generate_s``) and its
+  tracemalloc peak in MB (``generate_peak_mb``).
 
 The n = 20000 rows at density 0.02, 0.021 and 0.03 straddle the count,
 n(n-1)/100 pairs, above which numpy's draw without replacement shuffles an
@@ -40,6 +41,9 @@ DRAWS = (
     (20000, 0.021),
     (20000, 0.03),
 )
+# (family, n, density, cond_target): one QR and a symmetrization, and two
+# QRs and a sparsifying sort.
+DENSE = (("spd", 2000, 1.0, 1e6), ("nonsymmetric_general", 2000, 0.05, 1e6))
 SIZE = "full"
 SEED = 2801
 REPEATS = 3
@@ -62,8 +66,10 @@ def measure(eq, args):
                 "draw_peak_mb": _peak_mb(lambda: _upper_pairs(rng, n, pairs)),
             }
         )
-    for workload, family, n, density in _workload_specs():
-        spec = eq.CorpusSpec(family, n=n, density=density, seed=SEED, scale_spread=2.0)
+    for workload, family, n, density, cond in _generate_specs():
+        spec = eq.CorpusSpec(
+            family, n=n, density=density, cond_target=cond, seed=SEED, scale_spread=2.0
+        )
         out["generate"].append(
             {
                 "workload": workload,
@@ -75,16 +81,19 @@ def measure(eq, args):
     return out
 
 
-def _workload_specs():
-    """(workload, family, n, density) of each matrix the workloads generate."""
+def _generate_specs():
+    """(workload, family, n, density, cond_target) of each matrix the
+    workloads generate, then of each `DENSE` spec (workload "dense")."""
     batch = BatchRun.SIZES[SIZE]
-    yield "batch_run", "spd", *batch["spd"]
-    yield "batch_run", "nonsymmetric_general", *batch["nonsym"]
-    yield "batch_run", "symmetric_indefinite", *batch["big"]
+    yield "batch_run", "spd", *batch["spd"], None
+    yield "batch_run", "nonsymmetric_general", *batch["nonsym"], None
+    yield "batch_run", "symmetric_indefinite", *batch["big"], None
     for family in ("symmetric_indefinite", "nonsymmetric_general"):
-        yield "stochastic_scale", family, *StochasticScale.SIZES[SIZE]
+        yield "stochastic_scale", family, *StochasticScale.SIZES[SIZE], None
     for family, n, density in StructureIO.FAMILIES[SIZE]:
-        yield "structure_io", family, n, density
+        yield "structure_io", family, n, density, None
+    for row in DENSE:
+        yield "dense", *row
 
 
 def _peak_mb(fn):

@@ -125,7 +125,15 @@ def test_harness_warns_before_measuring_sides_on_paths_of_different_lengths(tmp_
 
 
 TINY = {
-    "corpus_draws": ({"DRAWS": ((30, 0.2), (20, 1.0)), "SIZE": "tiny", "REPEATS": 1}, {}),
+    "corpus_draws": (
+        {
+            "DRAWS": ((30, 0.2), (20, 1.0)),
+            "DENSE": (("spd", 40, 1.0, 1e6), ("nonsymmetric_general", 40, 0.2, 1e6)),
+            "SIZE": "tiny",
+            "REPEATS": 1,
+        },
+        {},
+    ),
     "matrix_market": ({"SIZE": "tiny", "REPEATS": 1}, {}),
     "probe_draws": ({"SIZES": (200,), "SWEEPS": 4}, {"repeats": 1}),
     "products": (
@@ -170,7 +178,7 @@ def test_measurement_runs_at_a_tiny_size(script, monkeypatch):
     if script == "corpus_draws":
         # (30 * 30 * 0.2 - 30) // 2 pairs, and all 20 * 19 / 2 at density 1.
         assert [row["pairs"] for row in result["draws"]] == [75, 190]
-        assert len(result["generate"]) == 10
+        assert len(result["generate"]) == 12
         rows = result["draws"] + result["generate"]
         assert all(value > 0.0 for row in rows for key, value in row.items() if key.endswith("_mb"))
     if script == "matrix_market":

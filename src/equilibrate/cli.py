@@ -93,6 +93,7 @@ class ExperimentConfig:
             raise ConfigError("format must be csv or json")
         if self.cond_cap < 1:
             raise ConfigError("cond_cap must be positive")
+        _refuse_repeated_names(self.inputs)
         return self
 
 
@@ -151,6 +152,16 @@ def _input_name(source):
     if isinstance(source, CorpusSpec):
         return spec_name(source)
     return Path(source).stem
+
+
+def _refuse_repeated_names(sources):
+    """Refuse two inputs that would share a report row name or a file name."""
+    seen = {}
+    for source in sources:
+        name = _input_name(source)
+        if name in seen:
+            raise ConfigError(f"inputs {seen[name]!r} and {source!r} share the name {name!r}")
+        seen[name] = source
 
 
 def _load_input(source):
@@ -342,6 +353,7 @@ def _cmd_history(args):
 
 def _cmd_gen(args):
     specs = read_spec_file(args.spec)
+    _refuse_repeated_names(specs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0

@@ -32,6 +32,9 @@ FAMILIES = (
 _CONDITIONED = ("spd", "symmetric_indefinite", "nonsymmetric_general")
 
 _MAX_ATTEMPTS = 20
+# The largest power of ten a construction may form; the 8 decades left
+# below the float64 maximum cover row sums.
+_MAX_DECADES = 300
 
 
 @dataclass(frozen=True)
@@ -43,9 +46,10 @@ class CorpusSpec:
     the mis-scaling severity in decades: generated matrices are wrapped in
     diagonal factors with entries up to 10**scale_spread, which is what
     gives equilibration something to undo. blocks fixes the diagonal block
-    sizes of the reducible family. Only spd, symmetric_indefinite and
-    nonsymmetric_general take a cond_target; such specs are built dense, so
-    their n is capped at CONDITION_SIZE_CAP.
+    sizes of the reducible family. A scale_spread is refused where the
+    construction would form a power of ten above 10**300. Only spd,
+    symmetric_indefinite and nonsymmetric_general take a cond_target; such
+    specs are built dense, so their n is capped at CONDITION_SIZE_CAP.
     """
 
     family: str
@@ -86,6 +90,14 @@ class CorpusSpec:
             raise ValueError("seed must be nonnegative")
         if not 0.0 <= self.scale_spread < math.inf:
             raise ValueError("scale_spread must be finite and nonnegative")
+        # The construction forms 10**(e * scale_spread): d_i * d_j in the
+        # diagonal mis-scaling, the last block's level, the permutation leads.
+        powers = {"reducible_blocks": len(self.blocks or (0, 0)) - 1, "permutation_plus_noise": 1}
+        e = powers.get(self.family, 2)
+        if e * self.scale_spread > _MAX_DECADES:
+            raise ValueError(
+                f"scale_spread must be at most {_MAX_DECADES / e:g} for this {self.family} spec"
+            )
 
 
 def spec_name(spec):
@@ -220,8 +232,7 @@ def _sym_sparse_parts(rng, spec, definite):
 
 
 def _shaped_spectrum(rng, n, cond_target, signed):
-    exponents = np.linspace(0.0, -math.log10(cond_target), n)
-    sigma = 10.0**exponents
+    sigma = 10.0 ** np.linspace(0.0, -math.log10(cond_target), n)
     if signed:
         signs = rng.choice([-1.0, 1.0], size=n)
         signs[0] = 1.0
@@ -229,17 +240,6 @@ def _shaped_spectrum(rng, n, cond_target, signed):
             signs[1] = -1.0
         sigma = sigma * signs
     return sigma
-
-
-def _sym_dense(rng, spec, definite):
-    q = np.linalg.qr(rng.standard_normal((spec.n, spec.n)))[0]
-    sigma = _shaped_spectrum(rng, spec.n, spec.cond_target, signed=not definite)
-    a = (q * sigma) @ q.T
-    a = (a + a.T) / 2.0
-    if spec.scale_spread > 0:
-        d = 10.0 ** rng.uniform(-spec.scale_spread, spec.scale_spread, size=spec.n)
-        a = a * (d[:, None] * d)
-    return SparseMatrix.from_dense(a)
 
 
 def _permutation_union_parts(rng, spec, dominant_decades=None):
@@ -251,26 +251,23 @@ def _permutation_union_parts(rng, spec, dominant_decades=None):
     if dominant_decades is None:
         vals = rng.standard_normal(rows.size)
     else:
-        lead = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(
-            0.0, max(dominant_decades, 0.0), size=n
-        )
+        signs = rng.choice([-1.0, 1.0], size=n)
+        lead = signs * 10.0 ** rng.uniform(0.0, dominant_decades, size=n)
         rest = 1e-3 * rng.standard_normal(rows.size - n)
         vals = np.concatenate([lead, rest])
     return rows, cols, vals
 
 
-def _build_nonsymmetric(rng, spec):
-    if spec.cond_target is None:
-        rows, cols, vals = _permutation_union_parts(rng, spec)
-        vals, _ = _diag_mis_scale(rng, rows, cols, vals, spec.n, spec.scale_spread, False)
-        m = SparseMatrix.from_coo(spec.n, spec.n, rows, cols, vals)
-        return m, _Witness(perms=cols.reshape(-1, spec.n))
+def _dense_parts(rng, spec, symmetric):
+    """U diag(sigma) V^T with a planted spectrum (V = U when symmetric)."""
     n = spec.n
     u = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    sigma = _shaped_spectrum(rng, n, spec.cond_target, signed=False)
+    v = u if symmetric else np.linalg.qr(rng.standard_normal((n, n)))[0]
+    sigma = _shaped_spectrum(rng, n, spec.cond_target, spec.family == "symmetric_indefinite")
     a = (u * sigma) @ v.T
-    if spec.density < 1.0:
+    if symmetric:
+        a = (a + a.T) / 2.0
+    elif spec.density < 1.0:
         # Keep the largest entries, then force a symmetric pattern with a
         # full diagonal so every survivor still lies on a permutation.
         target = max(3 * n, int(round(spec.density * n * n)))
@@ -280,61 +277,50 @@ def _build_nonsymmetric(rng, spec):
         mask |= mask.T
         np.fill_diagonal(mask, True)
         a = np.where(mask, a, 0.0)
-    if spec.scale_spread > 0:
-        dl = 10.0 ** rng.uniform(-spec.scale_spread, spec.scale_spread, size=n)
-        dr = 10.0 ** rng.uniform(-spec.scale_spread, spec.scale_spread, size=n)
-        a = a * dr * dl[:, None]
-    return SparseMatrix.from_dense(a), _Witness()
+    rows, cols = np.nonzero(a)
+    return rows, cols, a[rows, cols]
 
 
-def _build_reducible(rng, spec):
+def _reducible_parts(rng, spec):
+    """Diagonal spd blocks, block k lifted by 10**(k * scale_spread)."""
     blocks = spec.blocks
     if blocks is None:
         if spec.n < 4:
             raise GenerationFailed("reducible family needs n >= 4 or explicit blocks")
         half = spec.n // 2
         blocks = (half, spec.n - half)
-    rows_all, cols_all, vals_all = [], [], []
-    offset = 0
+    parts = []
     for index, size in enumerate(blocks):
         sub = replace(spec, family="spd", n=size, blocks=None, scale_spread=0.0)
         rows, cols, vals = _sym_sparse_parts(rng, sub, definite=True)
-        level = 10.0 ** (index * spec.scale_spread)
-        rows_all.append(rows + offset)
-        cols_all.append(cols + offset)
-        vals_all.append(vals * level)
-        offset += size
-    m = SparseMatrix.from_coo(
-        spec.n,
-        spec.n,
-        np.concatenate(rows_all),
-        np.concatenate(cols_all),
-        np.concatenate(vals_all),
-    )
-    return m, _Witness(blocks=blocks)
+        offset = sum(blocks[:index])
+        parts.append((rows + offset, cols + offset, vals * 10.0 ** (index * spec.scale_spread)))
+    rows, cols, vals = (np.concatenate(arrays) for arrays in zip(*parts))
+    return rows, cols, vals, _Witness(blocks=blocks)
 
 
 def _build(rng, spec):
     """The matrix a spec describes and the witness of its total support."""
-    if spec.family == "symmetric_indefinite" and spec.n < 2:
+    n, family = spec.n, spec.family
+    if family == "symmetric_indefinite" and n < 2:
         raise GenerationFailed("symmetric_indefinite needs n >= 2")
-    if spec.family in ("spd", "symmetric_indefinite"):
-        definite = spec.family == "spd"
-        if spec.cond_target is not None:
-            return _sym_dense(rng, spec, definite), _Witness()
-        rows, cols, vals = _sym_sparse_parts(rng, spec, definite)
-        vals, d = _diag_mis_scale(rng, rows, cols, vals, spec.n, spec.scale_spread, True)
-        m = SparseMatrix.from_coo(spec.n, spec.n, rows, cols, vals)
-        return m, _Witness(dominance=d if definite else None)
-    if spec.family == "nonsymmetric_general":
-        return _build_nonsymmetric(rng, spec)
-    if spec.family == "reducible_blocks":
-        return _build_reducible(rng, spec)
-    rows, cols, vals = _permutation_union_parts(
-        rng, spec, dominant_decades=spec.scale_spread
-    )
-    m = SparseMatrix.from_coo(spec.n, spec.n, rows, cols, vals)
-    return m, _Witness(perms=cols.reshape(-1, spec.n))
+    symmetric = family != "nonsymmetric_general"
+    witness = _Witness()
+    if spec.cond_target is not None:
+        rows, cols, vals = _dense_parts(rng, spec, symmetric)
+    elif family in ("spd", "symmetric_indefinite"):
+        rows, cols, vals = _sym_sparse_parts(rng, spec, definite=family == "spd")
+    elif family == "reducible_blocks":
+        rows, cols, vals, witness = _reducible_parts(rng, spec)
+    else:
+        lead = spec.scale_spread if family == "permutation_plus_noise" else None
+        rows, cols, vals = _permutation_union_parts(rng, spec, dominant_decades=lead)
+        witness = _Witness(perms=cols.reshape(-1, n))
+    if family in _CONDITIONED:
+        vals, d = _diag_mis_scale(rng, rows, cols, vals, n, spec.scale_spread, symmetric)
+        if family == "spd" and spec.cond_target is None:
+            witness = _Witness(dominance=d)
+    return SparseMatrix.from_coo(n, n, rows, cols, vals), witness
 
 
 def _is_permutation_union(m, perms):
@@ -415,7 +401,7 @@ def generate(spec):
         rng = np.random.Generator(np.random.PCG64([spec.seed, attempt]))
         try:
             m, witness = _build(rng, spec)
-        except (np.linalg.LinAlgError, OverflowError) as exc:
+        except np.linalg.LinAlgError as exc:
             failure = str(exc)
             continue
         failure = _verify(spec, m, witness)

@@ -116,6 +116,12 @@ def test_parse_config_defaults(tmp_path):
         ("matrix = a.mtx\nalgorithms = inf_norm\nbudgets = 32, 32\n", "budgets must not repeat"),
         ("corpus = family=what n=5\nalgorithms = ssbin\n", "unknown family"),
         ("matrix = a.mtx\nalgorithms = inf_norm\ncond_cap = 0\n", "cond_cap must be positive"),
+        ("matrix = a/m.mtx\nmatrix = b/m.mtx\nalgorithms = ssbin\n", "'a/m.mtx' and 'b/m.mtx' share"),
+        (
+            "corpus = family=spd n=30 density=0.123456\ncorpus = family=spd n=30 density=0.1234561\n"
+            "algorithms = ssbin\n",
+            r"density=0.123456,.* and .*density=0.1234561,.* share the name 'spd_n30_d0.123456_s0'",
+        ),
     ],
 )
 def test_parse_config_errors(tmp_path, body, message):
@@ -931,6 +937,21 @@ def test_main_gen_bad_spec_file(tmp_path, capsys):
     spec_path = _write_config(tmp_path / "corpus.txt", "family=spd n=oops\n")
     assert main(["gen", "--spec", spec_path, "--out-dir", str(tmp_path / "m")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_main_gen_refuses_repeated_file_names_before_writing(tmp_path, capsys):
+    spec_path = _write_config(
+        tmp_path / "corpus.txt",
+        "family=spd n=30 density=0.2\nfamily=spd n=30 density=0.123456\n"
+        "family=spd n=30 density=0.1234561\n",
+    )
+    out_dir = tmp_path / "matrices"
+    assert main(["gen", "--spec", spec_path, "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: inputs CorpusSpec(" in captured.err
+    assert "share the name 'spd_n30_d0.123456_s0'" in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()
 
 
 def test_main_check_missing_file(capsys):

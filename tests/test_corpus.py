@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from equilibrate import corpus
 from equilibrate.cli import main
 from equilibrate.corpus import (
     FAMILIES,
@@ -102,6 +103,12 @@ def test_parse_spec_line_round_trip():
         ("family=spd n=20 density=0.2 scale_spread=inf", "scale_spread must be finite"),
         ("family=spd n=20 density=0.2 cond_target=inf", "cond_target must be finite"),
         ("family=spd n=20 density=0.2 cond_target=nan", "cond_target must be finite"),
+        ("family=spd n=20 density=0.2 scale_spread=400", "scale_spread must be at most 150 "),
+        ("family=symmetric_indefinite n=20 scale_spread=150.5", "scale_spread must be at most 150 "),
+        ("family=nonsymmetric_general n=20 scale_spread=151", "scale_spread must be at most 150 "),
+        ("family=reducible_blocks n=20 scale_spread=400", "scale_spread must be at most 300 "),
+        ("family=reducible_blocks blocks=5,5,5,5 scale_spread=104", "scale_spread must be at most 100 "),
+        ("family=permutation_plus_noise n=20 scale_spread=300.5", "scale_spread must be at most 300 "),
     ],
 )
 def test_parse_spec_line_errors(line, message):
@@ -109,8 +116,17 @@ def test_parse_spec_line_errors(line, message):
         parse_spec_line(line)
 
 
+_REFUSED_VALUES = {
+    "scale_spread=nan": "scale_spread must be finite",
+    "scale_spread=inf": "scale_spread must be finite",
+    "cond_target=inf": "cond_target must be finite",
+    # 10**(2 * 400) overflows the diagonal mis-scaling.
+    "scale_spread=400": "scale_spread must be at most 150 for this spd spec",
+}
+
+
 @pytest.mark.parametrize("command", ["gen", "run"])
-@pytest.mark.parametrize("value", ["scale_spread=nan", "scale_spread=inf", "cond_target=inf"])
+@pytest.mark.parametrize("value", list(_REFUSED_VALUES))
 def test_a_non_finite_spec_line_is_a_config_error(tmp_path, capsys, command, value):
     line = f"family=spd n=20 density=0.2 {value}"
     path = tmp_path / "input.txt"
@@ -121,7 +137,7 @@ def test_a_non_finite_spec_line_is_a_config_error(tmp_path, capsys, command, val
         path.write_text(f"corpus = {line}\nalgorithms = snbin\n")
         argv = ["run", "--config", str(path), "--out", str(tmp_path / "report.csv")]
     assert main(argv) == 2
-    assert f"config error: {path}:1: {value.partition('=')[0]} must be finite" in capsys.readouterr().err
+    assert f"config error: {path}:1: {_REFUSED_VALUES[value]}" in capsys.readouterr().err
 
 
 def test_read_spec_file(tmp_path):
@@ -242,19 +258,47 @@ def test_generation_gives_up_when_every_attempt_fails_verification():
 
 
 @pytest.mark.parametrize(
-    "family,message",
+    "family,parts",
     [
-        ("spd", "matrix holds a non-finite value"),
-        ("permutation_plus_noise", "matrix holds a non-finite value"),
-        # The second block's level, 10.0 ** 400, overflows a Python float.
-        ("reducible_blocks", "gave up on reducible_blocks_n20_d0.2_sp400_s0"),
+        ("spd", "_sym_sparse_parts"),
+        ("permutation_plus_noise", "_permutation_union_parts"),
+        ("reducible_blocks", "_sym_sparse_parts"),
     ],
 )
-def test_generation_never_releases_a_non_finite_matrix(family, message):
-    # A spread of 400 decades overflows the mis-scaling of every attempt.
-    spec = CorpusSpec(family, n=20, density=0.2, scale_spread=400.0)
-    with np.errstate(all="ignore"), pytest.raises(GenerationFailed, match=message):
+def test_generation_never_releases_a_non_finite_matrix(monkeypatch, family, parts):
+    # Every attempt's construction hands back an infinite value.
+    build = getattr(corpus, parts)
+
+    def overflowing(*args, **kwargs):
+        rows, cols, vals = build(*args, **kwargs)
+        vals[0] = np.inf
+        return rows, cols, vals
+
+    monkeypatch.setattr(corpus, parts, overflowing)
+    spec = CorpusSpec(family, n=20, density=0.2, scale_spread=2.0)
+    message = f"gave up on {spec_name(spec)}: matrix holds a non-finite value"
+    with pytest.raises(GenerationFailed, match=message):
         generate(spec)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "family=spd n=20 density=0.2 scale_spread=150",
+        "family=symmetric_indefinite n=20 density=0.2 scale_spread=150",
+        "family=nonsymmetric_general n=20 density=0.2 scale_spread=150",
+        "family=spd n=40 density=1 cond_target=1e6 scale_spread=150",
+        "family=symmetric_indefinite n=40 density=1 cond_target=1e6 scale_spread=150",
+        "family=nonsymmetric_general n=40 density=0.3 cond_target=1e6 scale_spread=150",
+        "family=reducible_blocks n=20 density=0.2 scale_spread=300",
+        "family=reducible_blocks blocks=5,5,5,5 density=0.6 scale_spread=100",
+        "family=permutation_plus_noise n=20 density=0.2 scale_spread=300",
+    ],
+)
+def test_the_largest_accepted_spread_generates(line):
+    # The test configuration turns a numpy overflow warning into an error.
+    m = generate(parse_spec_line(line))
+    assert np.isfinite(m.data).all()
 
 
 @pytest.mark.parametrize("n,density", [(1, 0.02), (3, 0.01)])
