@@ -21,7 +21,6 @@ its scaling only.
 """
 
 import argparse
-import csv
 import dataclasses
 import sys
 import time
@@ -41,8 +40,8 @@ from equilibrate.diagnostics import (
 from equilibrate.errors import ConfigError, EquilibrateError
 from equilibrate.io import (
     RunReport,
-    open_output,
     read_matrix_market,
+    write_csv,
     write_matrix_market,
     write_report,
 )
@@ -303,7 +302,7 @@ def emit_history(m, algorithm, nmv, seeds):
     Columns are iteration, seed, log10_ratio. When the algorithm is the
     symmetric stochastic one, two comparison series are attached as extra
     columns: the two-sided method symmetrized through a geometric mean, and
-    the no-switch variant.
+    the no-switch variant. A series that stopped early is None past its end.
     """
     columns = ["iteration", "seed", "log10_ratio"]
     variants = []
@@ -318,7 +317,7 @@ def emit_history(m, algorithm, nmv, seeds):
         for iteration in range(max(len(s) for s in series)):
             row = [iteration, seed]
             for s in series:
-                row.append(repr(s[iteration]) if iteration < len(s) else "")
+                row.append(s[iteration] if iteration < len(s) else None)
             rows.append(row)
     return columns, rows
 
@@ -342,12 +341,12 @@ def _cmd_run(args):
 
 
 def _cmd_history(args):
+    for flag, count in (("--nmv", args.nmv), ("--seeds", args.seeds)):
+        if count < 1:
+            raise ValueError(f"{flag} must be at least 1")
     m = read_matrix_market(args.matrix)
     columns, rows = emit_history(m, args.alg, args.nmv, range(args.seeds))
-    with open_output(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+    write_csv(columns, rows, args.out)
     return 0
 
 

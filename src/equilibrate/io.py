@@ -1,10 +1,11 @@
-"""Matrix Market coordinate files and experiment report serialization.
+"""Matrix Market coordinate files, and the CSV and JSON tables the command line writes.
 
-Only the `matrix coordinate real general|symmetric` Matrix Market variants
-are accepted. Symmetric files are expanded to full storage on read; other
-symmetry or field kinds are rejected outright rather than coerced, since a
-silently dropped sign or mirrored value would corrupt every scaling result
-downstream.
+Only the `matrix coordinate real general|symmetric` variants are accepted.
+Symmetric files are expanded to full storage on read; other symmetry or
+field kinds are rejected outright rather than coerced, since a silently
+dropped sign or mirrored value would corrupt every scaling result
+downstream. The csv module formats every table cell, and JSON writes a
+non-finite float as the string of its CSV cell. No report reader ships.
 """
 
 import csv
@@ -321,18 +322,6 @@ class RunReport:
 
 
 REPORT_FIELDS = [f.name for f in dataclasses.fields(RunReport)]
-_FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunReport) if f.type == float | None]
-
-
-def report_cell(value):
-    """One report field as text: empty for None, "inf" or repr for floats."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return repr(value)
-    return str(value)
 
 
 @contextmanager
@@ -345,43 +334,35 @@ def open_output(path):
         yield fh
 
 
-def write_report(reports, fmt, path):
-    """Serialize reports as CSV (header row, fixed column order) or JSON.
+def write_csv(header, rows, path):
+    """Write a ``header`` row, then ``rows``, as CSV to ``path``; standard output for None.
 
-    ``path`` None writes to standard output.
+    The csv module formats every cell: None as an empty cell, anything else
+    as its `str`, which for a float is its `repr` (`inf` and `nan` included).
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown report format {fmt!r} (use 'csv' or 'json')")
     with open_output(path) as fh:
-        _dump_report(reports, fmt, fh)
-
-
-def _dump_report(reports, fmt, fh):
-    if fmt == "csv":
         writer = csv.writer(fh)
-        writer.writerow(REPORT_FIELDS)
-        for r in reports:
-            writer.writerow([report_cell(getattr(r, name)) for name in REPORT_FIELDS])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_report(reports, fmt, path):
+    """Write reports as CSV (`write_csv`, `REPORT_FIELDS` order) or as a JSON list of objects.
+
+    JSON has no token for a non-finite float, so one is written as the
+    string of its CSV cell (`"inf"`, `"nan"`); a missed case raises rather
+    than write invalid JSON. ``path`` None writes to standard output.
+    """
+    if fmt == "csv":
+        write_csv(REPORT_FIELDS, map(dataclasses.astuple, reports), path)
         return
-    rows = []
-    for r in reports:
-        row = dataclasses.asdict(r)
-        for key, value in row.items():
-            if isinstance(value, float) and math.isinf(value):
-                row[key] = "inf"
-        rows.append(row)
-    json.dump(rows, fh, indent=2)
-    fh.write("\n")
-
-
-def read_report_json(path):
-    """Parse a JSON report back into RunReport objects (round-trip helper)."""
-    with open(path, "r", encoding="ascii") as fh:
-        rows = json.load(fh)
-    reports = []
+    if fmt != "json":
+        raise ValueError(f"unknown report format {fmt!r} (use 'csv' or 'json')")
+    rows = [dataclasses.asdict(r) for r in reports]
     for row in rows:
-        for key in _FLOAT_FIELDS:
-            if row.get(key) == "inf":
-                row[key] = math.inf
-        reports.append(RunReport(**row))
-    return reports
+        for key, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                row[key] = str(value)
+    with open_output(path) as fh:
+        json.dump(rows, fh, indent=2, allow_nan=False)
+        fh.write("\n")

@@ -749,6 +749,25 @@ def test_main_run_records_overflowing_cells_and_finishes(tmp_path, capsys):
     assert status["jacobi"] == status["inf_norm"] == {"ok"}
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_main_run_json_report_is_strict_json(tmp_path, capsys):
+    # The squared row norms overflow, so ratio_before reads inf / inf = nan.
+    p = tmp_path / "big.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1e200\n2 2 1e200\n")
+    out = tmp_path / "report.json"
+    cfg_path = _write_config(
+        tmp_path / "exp.cfg",
+        f"matrix = {p}\nalgorithms = inf_norm\nbudgets = 4\nseeds_per_run = 1\nformat = json\n",
+    )
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    rows = json.loads(out.read_text(encoding="ascii"), parse_constant=refuse)
+    assert [(r["ratio_before"], r["ratio_after"]) for r in rows] == [("nan", 1.0)]
+
+
 def test_run_experiment_nan_entry_fails_its_rows_only(tmp_path):
     p = tmp_path / "nan.mtx"
     p.write_text(
@@ -1037,6 +1056,28 @@ def test_main_history_zero_row_is_an_error_exit(tmp_path, capsys):
 def test_main_history_nonsquare_is_an_error_exit(tmp_path, capsys):
     assert main(["history", "--matrix", _rect_mtx(tmp_path), "--alg", "snbin", "--seeds", "1"]) == 2
     assert capsys.readouterr().err == "error: stochastic equilibration requires a square operator\n"
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--seeds", "0"], "--seeds"),
+        (["--seeds", "-2"], "--seeds"),
+        (["--alg", "jacobi", "--nmv", "-3"], "--nmv"),
+        (["--alg", "inf_norm", "--nmv", "-3"], "--nmv"),
+        (["--alg", "snbin", "--nmv", "0"], "--nmv"),
+        (["--alg", "sk_exact", "--nmv", "0"], "--nmv"),
+    ],
+    ids=["seeds0", "seeds-neg2", "jacobi-nmv-neg3", "inf_norm-nmv-neg3", "snbin-nmv0", "sk_exact-nmv0"],
+)
+def test_main_history_refuses_counts_below_one(tmp_path, capsys, args, flag):
+    expected = ("", f"error: {flag} must be at least 1\n")
+    mtx = _sym_mtx(tmp_path, seed=9, n=6)
+    assert main(["history", "--matrix", mtx, *args]) == 2
+    assert capsys.readouterr() == expected
+    # Refused before the matrix is read.
+    assert main(["history", "--matrix", str(tmp_path / "missing.mtx"), *args]) == 2
+    assert capsys.readouterr() == expected
 
 
 def test_main_history_unknown_algorithm(tmp_path, capsys):

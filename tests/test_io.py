@@ -1,5 +1,7 @@
 import csv
+import io
 import itertools
+import json
 import math
 import os
 import re
@@ -15,7 +17,6 @@ from equilibrate.io import (
     REPORT_FIELDS,
     RunReport,
     read_matrix_market,
-    read_report_json,
     write_matrix_market,
     write_report,
 )
@@ -420,17 +421,37 @@ def test_csv_report_layout(tmp_path):
     assert float(by_name["a"]["ratio_after"]) == 1.2
 
 
+def test_csv_report_cells_are_the_csv_module_s(tmp_path):
+    # Every kind of cell: unset, finite, inf, nan, int, and quoted text.
+    row = RunReport("a", "jacobi", 3, 32, 2.5, math.inf, math.nan, None, 1e-05, 'error: "x", y')
+    p = tmp_path / "r.csv"
+    write_report([row], "csv", p)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(REPORT_FIELDS)
+    writer.writerow([getattr(row, name) for name in REPORT_FIELDS])
+    assert p.read_bytes() == expected.getvalue().encode("ascii")
+    assert p.read_bytes().endswith(b'a,jacobi,3,32,2.5,inf,nan,,1e-05,"error: ""x"", y"\r\n')
+    with open(p, newline="") as fh:
+        back = list(csv.reader(fh))
+    cells = ["a", "jacobi", "3", "32", "2.5", "inf", "nan", "", "1e-05", 'error: "x", y']
+    assert back == [REPORT_FIELDS, cells]
+
+
 def test_json_report_round_trip(tmp_path):
     p = tmp_path / "r.json"
     # An overflowing cell reads ratio_after = inf; a matrix may be named "inf".
     overflowing = RunReport("inf", "jacobi", 0, 32, math.inf, math.inf, wall_time=math.inf)
-    reports = _sample_reports() + [overflowing]
-    write_report(reports, "json", p)
-    back = read_report_json(p)
-    assert back == reports
-    assert math.isinf(back[1].cond_before)
-    assert math.isinf(back[3].ratio_after)
-    assert back[3].matrix_name == "inf"
+    write_report(_sample_reports() + [overflowing], "json", p)
+    with open(p, encoding="ascii") as fh:
+        back = json.load(fh)
+    expected = [
+        ("a", "ssbin", 0, 64, 3.5, 1.2, 100.0, 9.0, 0.01, "ok"),
+        ("b", "snbin", 2, 128, 7.0, 1.5, "inf", "inf", 0.02, "ok"),
+        ("c", "sk_exact", 0, 32, None, None, None, None, None, "error: zero row"),
+        ("inf", "jacobi", 0, 32, "inf", "inf", None, None, "inf", "ok"),
+    ]
+    assert back == [dict(zip(REPORT_FIELDS, values)) for values in expected]
 
 
 def test_unknown_report_format_raises(tmp_path):
